@@ -14,14 +14,17 @@
 //!   problems (the scale-ladder extension of the `mutsvc-placement`
 //!   `incremental_equivalence` suite);
 //! * region-coarsened search matches the flat greedy search to 1e-9 on
-//!   small graphs and stays close when coarsening is forced.
+//!   small graphs and stays close when coarsening is forced;
+//! * the multilevel partitioner is deterministic: repeated solves of one
+//!   rung in one process return the identical placement.
 
 use mutsvc_analyze::PathModel;
 use mutsvc_bench::placement_report::{ladder_problem, move_sequence};
 use mutsvc_core::{multi_tier_topology, MultiTierSpec};
 use mutsvc_desim::rng::SimRng;
 use mutsvc_placement::algorithms::{
-    greedy_solve, host_regions, solve_regional, GreedyOptions, RegionalOptions,
+    greedy_solve, host_regions, multilevel_solve, solve_regional, GreedyOptions, MultilevelOptions,
+    RegionalOptions,
 };
 use mutsvc_placement::graph::{HostId, Placement};
 use mutsvc_placement::wan::{hosts_from_topology, rehost, ServerSpec};
@@ -226,4 +229,22 @@ fn forced_coarsening_stays_close_to_flat_on_multi_tier_graphs() {
         regional_cost <= flat_cost * 1.05,
         "coarsened search drifted too far from flat: {regional_cost} vs {flat_cost}"
     );
+}
+
+/// Multilevel coarsening and refinement walk each vertex's neighbours; the
+/// walk order (and so every tie-break and floating-point sum) must not
+/// depend on per-process hash seeds, or one problem yields different
+/// placements from solve to solve.
+#[test]
+fn multilevel_solves_are_deterministic_on_the_64_host_rung() {
+    let problem = ladder_problem(64);
+    let options = MultilevelOptions::default();
+    let reference = multilevel_solve(&problem, &options);
+    for run in 1..5 {
+        assert_eq!(
+            multilevel_solve(&problem, &options),
+            reference,
+            "solve {run} diverged from the first"
+        );
+    }
 }

@@ -380,7 +380,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sim::Simulation;
+    use crate::sim::{Context, Fire, Simulation};
 
     /// One delay ≥ the 100 ms lookahead, one well past it: messages land in
     /// the very next window and several windows out, respectively.
@@ -395,15 +395,31 @@ mod tests {
         outgoing: Vec<(usize, SimTime, u64)>,
     }
 
+    /// The ring's events: a token arriving with `ttl` hops left, or a
+    /// coordinator marker carrying a directive.
+    enum RingEv {
+        Forward { ttl: u64 },
+        Marker(u64),
+    }
+
+    impl Fire<RingState> for RingEv {
+        fn fire(self, s: &mut RingState, ctx: &mut Context<'_, RingState, Self>) {
+            match self {
+                RingEv::Forward { ttl } => forward(s, ctx.now(), ttl),
+                RingEv::Marker(d) => s.log.push((ctx.now().as_micros(), usize::MAX, d)),
+            }
+        }
+    }
+
     /// A shard wrapping a real `Simulation`: every delivered token is logged
     /// and forwarded around the ring with a WAN-scale delay until it expires.
     struct RingShard {
-        sim: Simulation<RingState>,
+        sim: Simulation<RingState, RingEv>,
     }
 
     impl RingShard {
         fn new(idx: usize, n: usize) -> Self {
-            let mut sim = Simulation::new(RingState {
+            let mut sim = Simulation::with_events(RingState {
                 idx,
                 n,
                 log: Vec::new(),
@@ -412,9 +428,7 @@ mod tests {
             // Each shard seeds a couple of tokens at staggered times.
             for k in 0..2u64 {
                 let at = SimTime::from_micros(idx as u64 * 1_000 + k * 77_000);
-                sim.schedule_at(at, move |s: &mut RingState, ctx| {
-                    forward(s, ctx.now(), 40 + k);
-                });
+                sim.schedule_event_at(at, RingEv::Forward { ttl: 40 + k });
             }
             RingShard { sim }
         }
@@ -435,8 +449,7 @@ mod tests {
         type Out = (Vec<(u64, usize, u64)>, u64);
 
         fn deliver(&mut self, at: SimTime, _from: usize, ttl: u64) {
-            self.sim
-                .schedule_at(at, move |s: &mut RingState, ctx| forward(s, ctx.now(), ttl));
+            self.sim.schedule_event_at(at, RingEv::Forward { ttl });
         }
 
         fn advance(&mut self, upto: SimTime, closing: bool, outbox: &mut Outbox<u64>) {
@@ -515,9 +528,7 @@ mod tests {
                 // earlier queue sequence numbers in the engine too), then
                 // the delivery itself, so its sends surface immediately.
                 plain.sim.run_until(at);
-                plain
-                    .sim
-                    .schedule_at(at, move |s: &mut RingState, ctx| forward(s, ctx.now(), ttl));
+                plain.sim.schedule_event_at(at, RingEv::Forward { ttl });
                 plain.sim.run_until(at);
                 now = at;
             } else {
@@ -575,9 +586,7 @@ mod tests {
         }
 
         fn apply(&mut self, _: usize, shard: &mut RingShard, wend: SimTime, &d: &u64) {
-            shard.sim.schedule_at(wend, move |s: &mut RingState, ctx| {
-                s.log.push((ctx.now().as_micros(), usize::MAX, d));
-            });
+            shard.sim.schedule_event_at(wend, RingEv::Marker(d));
         }
     }
 

@@ -14,9 +14,14 @@
 //! The cut objective weights each crossing edge by the RTT between its
 //! parts' hosts, so "far" hosts repel chatty component pairs more than
 //! "near" ones — a wide-area-aware twist on the standard algorithm.
+//!
+//! Adjacency maps are ordered, so every neighbour walk — heavy-edge
+//! tie-breaks, degree and gain sums — runs in the same order on every solve
+//! and the partition is a pure function of the problem.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
+use crate::algorithms::greedy::{self, GreedyOptions};
 use crate::graph::{HostId, Placement, PlacementProblem};
 
 /// Options for the multilevel partitioner.
@@ -45,7 +50,7 @@ impl Default for MultilevelOptions {
 #[derive(Debug, Clone)]
 struct Level {
     /// Symmetric adjacency (upper triangle mirrored), by coarse vertex.
-    adj: Vec<HashMap<usize, f64>>,
+    adj: Vec<BTreeMap<usize, f64>>,
     /// Vertex weights (aggregated CPU load).
     vweight: Vec<f64>,
     /// Pinned part per coarse vertex, if any.
@@ -56,7 +61,7 @@ struct Level {
 
 fn base_level(problem: &PlacementProblem) -> Level {
     let n = problem.graph.len();
-    let mut adj: Vec<HashMap<usize, f64>> = vec![HashMap::new(); n];
+    let mut adj: Vec<BTreeMap<usize, f64>> = vec![BTreeMap::new(); n];
     for edge in problem.graph.graph.edge_references() {
         let (a, b) = (edge.source().index(), edge.target().index());
         if a == b {
@@ -139,7 +144,7 @@ fn coarsen(level: &Level) -> Option<Level> {
         next += 1;
     }
 
-    let mut adj: Vec<HashMap<usize, f64>> = vec![HashMap::new(); next];
+    let mut adj: Vec<BTreeMap<usize, f64>> = vec![BTreeMap::new(); next];
     let mut vweight = vec![0.0; next];
     let mut pinned: Vec<Option<usize>> = vec![None; next];
     for v in 0..n {
@@ -328,7 +333,22 @@ pub fn solve(problem: &PlacementProblem, options: &MultilevelOptions) -> Placeme
         placement.primary[i] = host;
     }
     placement.repair_pins(problem);
-    crate::algorithms::polish_primaries(problem, placement).0
+    polish_primaries(problem, placement).0
+}
+
+/// Bounded primary-move polish against the true wide-area cost, whose
+/// rate×RTT proxy the partition optimised. At most one best-improvement
+/// move per component, no replication — the partition contract ("primaries
+/// only") is preserved.
+fn polish_primaries(problem: &PlacementProblem, placement: Placement) -> (Placement, f64) {
+    greedy::improve(
+        problem,
+        placement,
+        &GreedyOptions {
+            max_rounds: problem.graph.len(),
+            with_replication: false,
+        },
+    )
 }
 
 #[cfg(test)]

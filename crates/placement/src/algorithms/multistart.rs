@@ -26,9 +26,6 @@ pub struct MultistartOptions {
     /// Annealing schedule template; each start derives its own seed from
     /// `annealing.seed` and the start index.
     pub annealing: AnnealingOptions,
-    /// Finish each start with greedy hill-climbing (replication moves
-    /// included) before the reduction.
-    pub greedy_polish: bool,
 }
 
 impl Default for MultistartOptions {
@@ -36,7 +33,6 @@ impl Default for MultistartOptions {
         MultistartOptions {
             starts: 8,
             annealing: AnnealingOptions::default(),
-            greedy_polish: true,
         }
     }
 }
@@ -47,8 +43,9 @@ fn start_seed(base: u64, index: usize) -> u64 {
     base.wrapping_add((index as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15))
 }
 
-/// Runs `options.starts` seeded annealing chains in parallel and returns
-/// the best placement under the deterministic `(cost, seed)` order.
+/// Runs `options.starts` seeded annealing chains in parallel, finishes each
+/// with greedy hill-climbing (replication moves included), and returns the
+/// best placement under the deterministic `(cost, seed)` order.
 ///
 /// The result is bit-identical regardless of rayon thread count: every
 /// chain is deterministic given its derived seed, and the reduction
@@ -73,12 +70,8 @@ pub fn solve_multistart(
                 ..options.annealing.clone()
             };
             let start = Placement::all_on(problem, HostId(i % hosts));
-            let (placement, cost) = anneal(problem, start, &chain);
-            let (placement, cost) = if options.greedy_polish {
-                improve(problem, placement, &GreedyOptions::default())
-            } else {
-                (placement, cost)
-            };
+            let (placement, _) = anneal(problem, start, &chain);
+            let (placement, cost) = improve(problem, placement, &GreedyOptions::default());
             (cost, seed, placement)
         })
         .min_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)))
@@ -106,7 +99,6 @@ mod tests {
                     moves_per_step: 80,
                     ..Default::default()
                 },
-                ..Default::default()
             };
             let (placement, cost) = solve_multistart(&problem, &options);
             assert!(placement.respects_pins(&problem));
@@ -127,7 +119,6 @@ mod tests {
                 moves_per_step: 60,
                 ..Default::default()
             },
-            greedy_polish: true,
         };
         let mut runs = Vec::new();
         for threads in [1, 2, 6] {

@@ -12,8 +12,9 @@
 //!   the whole graph;
 //! * [`algorithms`] — exhaustive enumeration (optimality oracle), greedy
 //!   hill-climbing with replica moves (derives the read-mostly pattern),
-//!   Kernighan–Lin bipartitioning, and a METIS-style multilevel k-way
-//!   partitioner with RTT-aware refinement;
+//!   simulated annealing, a METIS-style multilevel k-way partitioner with
+//!   RTT-aware refinement, region-coarsened search and deterministic
+//!   parallel multi-start search;
 //! * [`derive`] — extracting problems from the Pet Store and RUBiS models
 //!   under the paper's workload, with validation that the optimizer
 //!   *recovers the paper's final deployments*;

@@ -10,10 +10,10 @@
 //!
 //! Steady-state requests avoid per-request allocation three ways:
 //!
-//! * **Typed events.** Every recurring event — job advancement, request
-//!   issue, request completion — is a [`Ev`] enum value scheduled without
-//!   boxing; only the handful of control events a run sets up (stats reset,
-//!   perturbations) are boxed closures.
+//! * **Typed events.** Every event — job advancement, request issue,
+//!   request completion, and the handful of control events a run sets up
+//!   (stats reset, perturbations) — is an [`Ev`] enum value scheduled
+//!   without allocation.
 //! * **Bound-program memoization.** Binds the binder certifies replayable
 //!   (read-only, no cache-state transitions, no RNG draws) are split into a
 //!   reusable *plan* (`Arc<[Step]>` program + [`BindStats`]) and cached by
@@ -109,10 +109,6 @@ pub struct ExperimentReport {
     pub completed: u64,
     /// Total simulator events fired over the run.
     pub events_fired: u64,
-    /// Boxed-closure events scheduled over the run. The request hot path
-    /// schedules typed events only, so this stays at the handful of control
-    /// events (stats reset, perturbations) regardless of load.
-    pub boxed_events: u64,
     /// Bound-program cache counters.
     pub bind_cache: BindCacheStats,
     /// Events fired per shard of a conservative-parallel run, in shard
@@ -397,10 +393,6 @@ pub(crate) struct World {
     spec: WorkloadSpec,
     measuring_from: SimTime,
     completed: u64,
-    /// Pre-overhaul baseline emulation: resolve series ids through a cloned
-    /// group-name `String` on every measured request (see
-    /// [`WorkloadSpec::legacy_baseline`]).
-    legacy: bool,
     tracer: Tracer,
     telemetry: TelemetryRegistry,
     /// Metric handles plus the snapshot cadence; `None` when the telemetry
@@ -611,8 +603,8 @@ impl TelemetryIds {
 }
 
 /// Capacity of the hot-path event-kind count array. A power of two so the
-/// per-event index can be masked instead of bounds-checked; must be at
-/// least [`EV_KIND_NAMES`]`.len()`.
+/// per-event index can be masked instead of bounds-checked; must exceed
+/// [`EV_KIND_NAMES`]`.len()`, whose index is the unreported control slot.
 const EV_KINDS: usize = 16;
 /// Self-profile counter names, indexed by [`Ev::kind_index`].
 const EV_KIND_NAMES: [&str; 10] = [
@@ -782,11 +774,18 @@ pub(crate) enum Ev {
     /// the deployment descriptor and restart the destination container
     /// cold. The payload indexes the world's pending-migration buffer.
     Migrate { slot: u32 },
+    /// The measured window opens: reset the network's resource statistics.
+    ResetStats,
+    /// Apply `spec.perturbations[idx]` (scheduled once per entry at run
+    /// start).
+    Perturb { idx: u32 },
 }
 
 impl Ev {
     /// Dense kind index for the engine self-profile counters
-    /// ([`EV_KIND_NAMES`]).
+    /// ([`EV_KIND_NAMES`]). The one-shot control events share the slot
+    /// just past the named kinds, which is never reported: they are run
+    /// set-up, not engine work.
     fn kind_index(&self) -> usize {
         match self {
             Ev::Net(_) => 0,
@@ -799,6 +798,7 @@ impl Ev {
             Ev::MetricsRoll => 7,
             Ev::AdaptTick => 8,
             Ev::Migrate { .. } => 9,
+            Ev::ResetStats | Ev::Perturb { .. } => EV_KIND_NAMES.len(),
         }
     }
 }
@@ -827,7 +827,22 @@ impl Fire<World> for Ev {
             Ev::MetricsRoll => roll_metrics(world, ctx),
             Ev::AdaptTick => adapt_tick(world, ctx),
             Ev::Migrate { slot } => apply_migration(world, slot),
+            Ev::ResetStats => world.net.reset_stats(),
+            Ev::Perturb { idx } => apply_perturbation(world, idx),
         }
+    }
+}
+
+/// Applies one scheduled network perturbation. Perturbations change link
+/// timing, so every memoized plan (whose steps carry admission-time
+/// assumptions) is dropped.
+fn apply_perturbation(world: &mut World, idx: u32) {
+    world.plans.invalidate_all();
+    match world.spec.perturbations[idx as usize].action {
+        crate::spec::NetAction::ScaleWanLatency { threshold, factor } => {
+            world.net.scale_latencies_above(threshold, factor);
+        }
+        crate::spec::NetAction::Restore => world.net.clear_latency_overrides(),
     }
 }
 
@@ -1300,26 +1315,17 @@ fn issue(world: &mut World, ctx: &mut Context<'_, World, Ev>, slot_idx: usize) {
     }
 
     let (series, session, hist) = if measured {
-        if world.legacy {
-            // Pre-overhaul stats path: clone the group name and re-resolve
-            // the series through string lookups on every request.
-            let name = world.spec.groups[slot_group].name.clone();
-            let (series, session) = world.stats.intern(&name, pattern, label);
-            let hist = world.metrics.as_ref().and_then(|m| m.page_hist(label));
-            (series, session, hist)
-        } else {
-            let memo_key = (slot_group as u16, pattern, label);
-            match world.series_memo.get(&memo_key) {
-                Some(&ids) => ids,
-                None => {
-                    let (series, session) =
-                        world
-                            .stats
-                            .intern(&world.spec.groups[slot_group].name, pattern, label);
-                    let hist = world.metrics.as_ref().and_then(|m| m.page_hist(label));
-                    world.series_memo.insert(memo_key, (series, session, hist));
-                    (series, session, hist)
-                }
+        let memo_key = (slot_group as u16, pattern, label);
+        match world.series_memo.get(&memo_key) {
+            Some(&ids) => ids,
+            None => {
+                let (series, session) =
+                    world
+                        .stats
+                        .intern(&world.spec.groups[slot_group].name, pattern, label);
+                let hist = world.metrics.as_ref().and_then(|m| m.page_hist(label));
+                world.series_memo.insert(memo_key, (series, session, hist));
+                (series, session, hist)
             }
         }
     } else {
@@ -1404,7 +1410,6 @@ fn issue(world: &mut World, ctx: &mut Context<'_, World, Ev>, slot_idx: usize) {
             &mut world.rng,
             &mut world.next_tag,
         )
-        .with_legacy_scan(world.legacy)
         .bind_page(client_node, entry_node, &page);
 
         if measured {
@@ -1662,8 +1667,6 @@ pub(crate) fn build_sim(input: ExperimentInput, shard: Option<ShardPlan>) -> Sim
         warm_caches(&mut state, &app, &registry, &descriptor, &db, None);
     }
 
-    let legacy = spec.legacy_baseline;
-    let bind_cache = spec.bind_cache && !legacy;
     let faults_active = spec.faults.active();
     let mut net = Network::new(topology);
     // Deterministic message-loss hashing is keyed by the experiment seed, so
@@ -1724,6 +1727,7 @@ pub(crate) fn build_sim(input: ExperimentInput, shard: Option<ShardPlan>) -> Sim
     // Fault firing times, captured before `spec` moves into the world; the
     // handler looks the kind up by index.
     let fault_times: Vec<SimDuration> = spec.faults.schedule.events.iter().map(|e| e.at).collect();
+    let perturbation_times: Vec<SimDuration> = spec.perturbations.iter().map(|p| p.at).collect();
     // The live-migration controller (sequential runs only): parallel runs
     // host one controller in the coordinator so every shard applies the
     // same globally decided orders.
@@ -1744,7 +1748,7 @@ pub(crate) fn build_sim(input: ExperimentInput, shard: Option<ShardPlan>) -> Sim
         next_tag: 0,
         deferred: HashMap::new(),
         deferred_tables: Vec::new(),
-        plans: PlanCache::new(bind_cache),
+        plans: PlanCache::new(spec.bind_cache),
         fault_rt,
         stats,
         series_memo: HashMap::new(),
@@ -1756,7 +1760,6 @@ pub(crate) fn build_sim(input: ExperimentInput, shard: Option<ShardPlan>) -> Sim
         spec,
         measuring_from,
         completed: 0,
-        legacy,
         tracer,
         telemetry,
         telemetry_ids,
@@ -1772,15 +1775,13 @@ pub(crate) fn build_sim(input: ExperimentInput, shard: Option<ShardPlan>) -> Sim
 
     let mut sim: Simulation<World, Ev> = Simulation::with_events(world);
     sim.set_far_epoch(far_epoch);
-    // The pre-overhaul queue boxed every event; emulate it for baseline runs.
-    sim.emulate_boxed_events(legacy);
     // Stagger session starts uniformly across one soft-delay interval.
     for i in 0..n_sessions {
         let offset = soft_delay.mul_f64(i as f64 / n_sessions.max(1) as f64);
         sim.schedule_event_at(SimTime::ZERO + offset, Ev::Issue { slot: i as u32 });
     }
     // Reset resource statistics when the measured window opens.
-    sim.schedule_at(measuring_from, |w: &mut World, _| w.net.reset_stats());
+    sim.schedule_event_at(measuring_from, Ev::ResetStats);
     // Arm the telemetry cadence (typed event; never scheduled when off).
     if let Some(every) = telemetry_every {
         sim.schedule_event_at(SimTime::ZERO + every, Ev::Snapshot);
@@ -1803,22 +1804,12 @@ pub(crate) fn build_sim(input: ExperimentInput, shard: Option<ShardPlan>) -> Sim
         let warmup = sim.world().spec.warmup;
         sim.schedule_internal_at(SimTime::ZERO + warmup + cadence, Ev::AdaptTick);
     }
-    // Failure injection. Perturbations change link timing, so every memoized
-    // plan (whose steps carry admission-time assumptions) is dropped.
-    for p in sim.world().spec.perturbations.clone() {
-        let action = p.action.clone();
-        sim.schedule_at(SimTime::ZERO + p.at, move |w: &mut World, _| {
-            w.plans.invalidate_all();
-            match &action {
-                crate::spec::NetAction::ScaleWanLatency { threshold, factor } => {
-                    w.net.scale_latencies_above(*threshold, *factor);
-                }
-                crate::spec::NetAction::Restore => w.net.clear_latency_overrides(),
-            }
-        });
+    // Failure injection (see `apply_perturbation`).
+    for (i, at) in perturbation_times.into_iter().enumerate() {
+        sim.schedule_event_at(SimTime::ZERO + at, Ev::Perturb { idx: i as u32 });
     }
-    // Fault schedule: typed events, so a fault-off run (empty schedule)
-    // leaves the queue — and the boxed-event count — untouched.
+    // Fault schedule: a fault-off run (empty schedule) leaves the queue
+    // untouched.
     for (i, at) in fault_times.into_iter().enumerate() {
         sim.schedule_event_at(SimTime::ZERO + at, Ev::Fault { idx: i as u32 });
     }
@@ -1838,7 +1829,6 @@ pub fn run_experiment(input: ExperimentInput) -> ExperimentReport {
 pub(crate) fn drain_report(sim: Simulation<World, Ev>) -> ExperimentReport {
     let horizon = sim.world().spec.horizon();
     let events_fired = sim.events_fired();
-    let boxed_events = sim.boxed_events_scheduled();
 
     let mut world = sim.into_world();
     let config = world.descriptor.name.clone();
@@ -1891,7 +1881,6 @@ pub(crate) fn drain_report(sim: Simulation<World, Ev>) -> ExperimentReport {
         cpu_utilization,
         completed: world.completed,
         events_fired,
-        boxed_events,
         bind_cache: BindCacheStats {
             enabled: world.plans.enabled,
             hits: world.plans.hits,
@@ -2126,49 +2115,6 @@ mod tests {
     }
 
     #[test]
-    fn hot_path_schedules_no_boxed_events() {
-        // Thousands of requests, yet the only boxed event is the stats
-        // reset: issue/advance/done are all typed enum payloads.
-        let report = run_experiment(small_input(31));
-        assert!(report.completed > 1_000);
-        assert_eq!(
-            report.boxed_events, 1,
-            "boxed events: {}",
-            report.boxed_events
-        );
-    }
-
-    #[test]
-    fn legacy_baseline_is_slower_bookkeeping_same_simulation() {
-        // The pre-overhaul emulation must change only host-side cost: the
-        // simulated measurements are bit-identical to a modern cache-off
-        // run, but every event pays a boxed allocation.
-        let mut modern_input = small_input(33);
-        modern_input.spec.bind_cache = false;
-        let modern = run_experiment(modern_input);
-
-        let mut legacy_input = small_input(33);
-        legacy_input.spec = legacy_input.spec.as_legacy_baseline();
-        let legacy = run_experiment(legacy_input);
-
-        assert!(!legacy.bind_cache.enabled);
-        assert_eq!(legacy.stats, modern.stats);
-        assert_eq!(legacy.bind_totals, modern.bind_totals);
-        assert_eq!(legacy.staleness_ms, modern.staleness_ms);
-        assert_eq!(legacy.completed, modern.completed);
-        assert_eq!(legacy.events_fired, modern.events_fired);
-        // Every typed event is boxed under emulation (plus the control
-        // events both runs schedule).
-        assert!(
-            legacy.boxed_events >= legacy.events_fired,
-            "boxed {} < fired {}",
-            legacy.boxed_events,
-            legacy.events_fired
-        );
-        assert!(modern.boxed_events <= 4);
-    }
-
-    #[test]
     fn traced_run_commits_spans_and_telemetry() {
         use crate::spec::TraceSettings;
         use crate::trace_report::page_breakdown;
@@ -2353,7 +2299,6 @@ mod tests {
         assert_eq!(plain.completed, armed.completed);
         assert_eq!(plain.bind_totals, armed.bind_totals);
         assert_eq!(plain.events_fired, armed.events_fired);
-        assert_eq!(plain.boxed_events, armed.boxed_events);
         let (pt, at) = (plain.trace.unwrap(), armed.trace.unwrap());
         assert_eq!(jsonl(&pt), jsonl(&at), "span logs byte-identical");
         assert_eq!(pt.telemetry_names, at.telemetry_names);

@@ -17,14 +17,14 @@
 //!
 //! | Crate | Contents |
 //! |---|---|
-//! | [`desim`] | simulation kernel: time, events, queueing resources, metrics |
+//! | [`desim`] | simulation kernel: time, typed events, queueing resources, metrics |
 //! | [`netsim`] | topology, latency/bandwidth, TCP/HTTP/RMI/JDBC/JMS costs, step executor |
 //! | [`relstore`] | relational store substrate with query cost model and invalidation |
 //! | [`middleware`] | component model, deployment descriptors, container state, the binder |
 //! | [`apps`] | Pet Store and RUBiS models: schemas, pages, session patterns |
 //! | [`workload`] | soft-delay client simulation and the experiment driver |
 //! | [`core`] | the five configurations, scenario runner, paper data, reports |
-//! | [`placement`] | interaction graphs and placement algorithms (greedy, KL, multilevel) |
+//! | [`placement`] | interaction graphs and placement algorithms (greedy, multilevel, regional, multi-start) |
 //!
 //! ## Quick start
 //!
