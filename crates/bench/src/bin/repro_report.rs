@@ -25,7 +25,7 @@
 //! `--parallel 0` skips the parallel rows.
 //!
 //! `--trace [config]` re-runs the sweep (or one named configuration) with
-//! per-request tracing and the telemetry registry on, writes a compact span
+//! per-request tracing and the telemetry snapshots on, writes a compact span
 //! log (`TRACE_<app>_<config>.spans.jsonl`), a Chrome `trace_event` document
 //! loadable in Perfetto (`TRACE_<app>_<config>.chrome.json`) and
 //! `BENCH_trace.json`, prints the per-page WAN critical-path decomposition,

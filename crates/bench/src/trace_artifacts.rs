@@ -11,7 +11,9 @@
 use mutsvc_analyze::{analyze_target, cross_check_traced_wan, Report};
 use mutsvc_core::{AppKind, Config, Scenario};
 use mutsvc_desim::time::SimDuration;
-use mutsvc_workload::{page_breakdown, ExperimentReport, PageTraceRow, TraceSettings};
+use mutsvc_workload::{
+    page_breakdown, telemetry_json, ExperimentReport, PageTraceRow, TraceSettings,
+};
 
 /// Looks a configuration up by its report name ("remote-facade", …).
 pub fn config_by_name(name: &str) -> Option<Config> {
@@ -169,31 +171,9 @@ pub fn render_trace_json(sweeps: &[(AppKind, Vec<TraceCell>)]) -> String {
                     fmt2(row.delay_ms),
                 ));
             }
-            out.push_str("],\"telemetry\":{\"names\":[");
-            for (ni, name) in data.telemetry_names.iter().enumerate() {
-                if ni > 0 {
-                    out.push(',');
-                }
-                out.push_str(&format!("\"{name}\""));
-            }
-            out.push_str("],\"snapshots\":[");
-            for (si, snap) in data.telemetry.iter().enumerate() {
-                if si > 0 {
-                    out.push(',');
-                }
-                out.push_str(&format!(
-                    "{{\"at_s\":{:.1},\"values\":[",
-                    snap.at.as_secs_f64()
-                ));
-                for (vi, v) in snap.values.iter().enumerate() {
-                    if vi > 0 {
-                        out.push(',');
-                    }
-                    out.push_str(&fmt2(*v));
-                }
-                out.push_str("]}");
-            }
-            out.push_str("]}}");
+            out.push_str("],\"telemetry\":");
+            telemetry_json(data, &mut out);
+            out.push('}');
         }
         out.push_str("]}");
     }

@@ -147,13 +147,13 @@ pub fn render_percentiles(app: AppKind, reports: &[ExperimentReport]) -> String 
                         REMOTE_GROUPS
                             .iter()
                             .filter_map(|g| report.stats.series(g, pattern, page))
-                            .map(mutsvc_desim::Summary::p95),
+                            .map(|s| s.quantile(0.95)),
                     )
                 } else {
                     report
                         .stats
                         .series("local", pattern, page)
-                        .map(mutsvc_desim::Summary::p95)
+                        .map(|s| s.quantile(0.95))
                 };
                 match p95 {
                     Some(v) => out.push_str(&format!("{:>9.0}", v)),
@@ -460,4 +460,94 @@ pub fn validate_shapes(app: AppKind, reports: &[ExperimentReport]) -> Vec<String
         }
     }
     violations
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::experiment::run_sweep;
+    use mutsvc_workload::WorkloadStats;
+
+    /// The cells of `render_percentiles` output, as `(config, remote,
+    /// cells)` per table row.
+    fn parse_rows(table: &str) -> Vec<(String, bool, Vec<String>)> {
+        table
+            .lines()
+            .skip(2)
+            .map(|line| {
+                let (label, cells) = line.split_at(21);
+                let config = label[..18].trim().to_string();
+                let remote = match label[18..].trim() {
+                    "L" => false,
+                    "R" => true,
+                    other => panic!("row marker {other:?}"),
+                };
+                let cells = cells
+                    .as_bytes()
+                    .chunks(9)
+                    .map(|c| std::str::from_utf8(c).unwrap().trim().to_string())
+                    .collect();
+                (config, remote, cells)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn percentile_cells_print_local_p95_and_the_worse_remote_group() {
+        let app = AppKind::PetStore;
+        let mut reports = run_sweep(app, true, 42);
+        // One configuration with nothing measured: every cell prints "-".
+        let blank = Config::all().len() - 1;
+        reports[blank].stats = WorkloadStats::new();
+
+        let p95 = |report: &ExperimentReport, group: &str, pattern: &str, page: &str| {
+            report
+                .stats
+                .series(group, pattern, page)
+                .map(|s| s.quantile(0.95))
+        };
+        let rows = parse_rows(&render_percentiles(app, &reports));
+        assert_eq!(rows.len(), 2 * Config::all().len());
+        let (mut dashes, mut split_remotes) = (0, 0);
+        for (i, (config, remote, cells)) in rows.iter().enumerate() {
+            let report = &reports[i / 2];
+            assert_eq!(config, Config::all()[i / 2].name());
+            assert_eq!(*remote, i % 2 == 1);
+            assert_eq!(cells.len(), columns_of(app).len());
+            for (cell, (pattern, page)) in cells.iter().zip(columns_of(app)) {
+                let want = if *remote {
+                    let groups: Vec<f64> = REMOTE_GROUPS
+                        .iter()
+                        .filter_map(|g| p95(report, g, pattern, page))
+                        .collect();
+                    if groups.len() == 2
+                        && format!("{:.0}", groups[0]) != format!("{:.0}", groups[1])
+                    {
+                        split_remotes += 1;
+                    }
+                    groups.into_iter().reduce(f64::max)
+                } else {
+                    p95(report, "local", pattern, page)
+                };
+                match want {
+                    Some(v) => assert_eq!(cell, &format!("{v:.0}"), "{config} {page}"),
+                    None => {
+                        assert_eq!(cell, "-", "{config} {page}");
+                        dashes += 1;
+                    }
+                }
+            }
+        }
+        assert!(
+            rows[2 * blank..]
+                .iter()
+                .all(|(_, _, cells)| cells.iter().all(|c| c == "-")),
+            "an unmeasured configuration prints only dashes"
+        );
+        assert!(dashes >= 2 * columns_of(app).len());
+        assert!(
+            split_remotes > 0,
+            "some remote cell picks between two groups"
+        );
+    }
 }

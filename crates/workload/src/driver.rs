@@ -34,7 +34,6 @@ use mutsvc_desim::metrics::Summary;
 use mutsvc_desim::recorder::{CounterId, GaugeId, HistId, LogHistogram, Recorder};
 use mutsvc_desim::rng::{stream, SimRng};
 use mutsvc_desim::sim::{Context, Fire, Simulation};
-use mutsvc_desim::telemetry::{MetricId, TelemetryRegistry};
 use mutsvc_desim::time::{SimDuration, SimTime};
 use mutsvc_desim::trace::{SpanCtx, SpanKind, TraceMeta, Tracer};
 use mutsvc_middleware::{
@@ -394,10 +393,9 @@ pub(crate) struct World {
     measuring_from: SimTime,
     completed: u64,
     tracer: Tracer,
-    telemetry: TelemetryRegistry,
-    /// Metric handles plus the snapshot cadence; `None` when the telemetry
-    /// series is off (the `Ev::Snapshot` event is then never scheduled).
-    telemetry_ids: Option<TelemetryIds>,
+    /// Snapshot gauges and their handles; `None` when the telemetry series
+    /// is off (the `Ev::Snapshot` event is then never scheduled).
+    telemetry: Option<TelemetryState>,
     fault_rt: FaultRuntime,
     /// Cross-shard note state; `None` on classic sequential runs, whose
     /// hot path then pays exactly one predictable branch per full bind.
@@ -499,24 +497,26 @@ impl World {
     }
 }
 
-/// Registered metric handles for the periodic telemetry snapshot.
-struct TelemetryIds {
-    every: SimDuration,
-    queue_near: MetricId,
-    queue_far: MetricId,
-    slab_slots: MetricId,
-    slab_free: MetricId,
-    jobs_in_flight: MetricId,
-    plan_hits: MetricId,
-    plan_misses: MetricId,
-    plan_invalidations: MetricId,
-    entity_cache_hits: MetricId,
-    query_cache_hits: MetricId,
-    completed: MetricId,
-    traces_committed: MetricId,
-    traces_dropped: MetricId,
-    /// `(link, messages metric, bytes metric)` for every WAN leg.
-    wan_links: Vec<(LinkId, MetricId, MetricId)>,
+/// The periodic telemetry snapshot: gauges on a [`Recorder`] whose window
+/// is the snapshot cadence, so row `i` holds the values sampled at
+/// `(i+1)·every`.
+struct TelemetryState {
+    rec: Recorder,
+    queue_near: GaugeId,
+    queue_far: GaugeId,
+    slab_slots: GaugeId,
+    slab_free: GaugeId,
+    jobs_in_flight: GaugeId,
+    plan_hits: GaugeId,
+    plan_misses: GaugeId,
+    plan_invalidations: GaugeId,
+    entity_cache_hits: GaugeId,
+    query_cache_hits: GaugeId,
+    completed: GaugeId,
+    traces_committed: GaugeId,
+    traces_dropped: GaugeId,
+    /// `(link, messages gauge, bytes gauge)` for every WAN leg.
+    wan_links: Vec<(LinkId, GaugeId, GaugeId)>,
     /// Fault-state gauges (armed-only; see [`TelemetryArms`]).
     faults: Option<FaultGauges>,
     /// Conservative-parallel self-profile gauges (armed-only).
@@ -525,23 +525,23 @@ struct TelemetryIds {
 
 /// Gauges exposing the injected fault state and its request-level impact.
 struct FaultGauges {
-    links_down: MetricId,
-    nodes_down: MetricId,
-    failed: MetricId,
-    retries: MetricId,
+    links_down: GaugeId,
+    nodes_down: GaugeId,
+    failed: GaugeId,
+    retries: GaugeId,
 }
 
 /// Gauges exposing a conservative-parallel shard replica's cross-shard
 /// note flow.
 struct ShardGauges {
-    outbound_pending: MetricId,
-    notes_received: MetricId,
+    outbound_pending: GaugeId,
+    notes_received: GaugeId,
 }
 
 /// Which optional telemetry gauge families a run arms.
 ///
 /// The registration rule is uniform: a family's gauges exist in the
-/// registry iff its subsystem is active *this run*, so snapshots of runs
+/// recorder iff its subsystem is active *this run*, so snapshots of runs
 /// without the subsystem stay byte-identical to a stack that never had it.
 /// Fault gauges arm with a non-empty fault schedule; shard self-profile
 /// gauges arm on conservative-parallel shard replicas.
@@ -551,14 +551,14 @@ struct TelemetryArms {
     sharded: bool,
 }
 
-impl TelemetryIds {
+impl TelemetryState {
     fn register(
-        registry: &mut TelemetryRegistry,
         net: &Network,
         wan_threshold: SimDuration,
         every: SimDuration,
         arms: TelemetryArms,
     ) -> Self {
+        let mut rec = Recorder::new(every);
         let wan_links = net
             .topology()
             .link_ids()
@@ -567,37 +567,38 @@ impl TelemetryIds {
                 let name = &net.topology().link(l).name;
                 (
                     l,
-                    registry.register(format!("wan.{name}.msgs")),
-                    registry.register(format!("wan.{name}.bytes")),
+                    rec.gauge(&format!("wan.{name}.msgs")),
+                    rec.gauge(&format!("wan.{name}.bytes")),
                 )
             })
             .collect();
-        TelemetryIds {
-            every,
-            queue_near: registry.register("queue.near_depth"),
-            queue_far: registry.register("queue.far_depth"),
-            slab_slots: registry.register("queue.slab_slots"),
-            slab_free: registry.register("queue.slab_free"),
-            jobs_in_flight: registry.register("jobs.in_flight"),
-            plan_hits: registry.register("plan_cache.hits"),
-            plan_misses: registry.register("plan_cache.misses"),
-            plan_invalidations: registry.register("plan_cache.invalidations"),
-            entity_cache_hits: registry.register("bind.entity_cache_hits"),
-            query_cache_hits: registry.register("bind.query_cache_hits"),
-            completed: registry.register("requests.completed"),
-            traces_committed: registry.register("trace.committed"),
-            traces_dropped: registry.register("trace.dropped"),
+        // Fields register in the order written; `rec` moves in last.
+        TelemetryState {
+            queue_near: rec.gauge("queue.near_depth"),
+            queue_far: rec.gauge("queue.far_depth"),
+            slab_slots: rec.gauge("queue.slab_slots"),
+            slab_free: rec.gauge("queue.slab_free"),
+            jobs_in_flight: rec.gauge("jobs.in_flight"),
+            plan_hits: rec.gauge("plan_cache.hits"),
+            plan_misses: rec.gauge("plan_cache.misses"),
+            plan_invalidations: rec.gauge("plan_cache.invalidations"),
+            entity_cache_hits: rec.gauge("bind.entity_cache_hits"),
+            query_cache_hits: rec.gauge("bind.query_cache_hits"),
+            completed: rec.gauge("requests.completed"),
+            traces_committed: rec.gauge("trace.committed"),
+            traces_dropped: rec.gauge("trace.dropped"),
             wan_links,
             faults: arms.faults.then(|| FaultGauges {
-                links_down: registry.register("fault.links_down"),
-                nodes_down: registry.register("fault.nodes_down"),
-                failed: registry.register("fault.requests_failed"),
-                retries: registry.register("fault.retries"),
+                links_down: rec.gauge("fault.links_down"),
+                nodes_down: rec.gauge("fault.nodes_down"),
+                failed: rec.gauge("fault.requests_failed"),
+                retries: rec.gauge("fault.retries"),
             }),
             shard: arms.sharded.then(|| ShardGauges {
-                outbound_pending: registry.register("shard.outbound_pending"),
-                notes_received: registry.register("shard.notes_received"),
+                outbound_pending: rec.gauge("shard.outbound_pending"),
+                notes_received: rec.gauge("shard.notes_received"),
             }),
+            rec,
         }
     }
 }
@@ -635,7 +636,7 @@ struct MetricsState {
     jobs_in_flight: GaugeId,
     /// `(page label, histogram)` in the app's page-inventory order.
     pages: Vec<(String, HistId)>,
-    /// Per-WAN-leg series (same leg set as the telemetry registry's).
+    /// Per-WAN-leg series (same leg set as the telemetry snapshot's).
     wan: Vec<WanSeries>,
     /// Per-client-group issued-request counters (`group.<name>.issued`),
     /// aligned with `spec.groups`: the offered-demand signal the adaptive
@@ -1129,57 +1130,58 @@ fn logical_wan_rts(net: &Network, threshold: SimDuration, crossings: &[Crossing]
         .sum()
 }
 
-/// Samples every registered gauge/counter into one timestamped snapshot and
-/// re-arms the cadence event.
+/// Samples every telemetry gauge, closes the snapshot row, and re-arms the
+/// cadence event.
 fn snapshot_telemetry(world: &mut World, ctx: &mut Context<'_, World, Ev>) {
-    // Take the handles out so the registry and the rest of the world can be
+    // Take the state out so the recorder and the rest of the world can be
     // borrowed simultaneously.
-    let Some(ids) = world.telemetry_ids.take() else {
+    let Some(mut t) = world.telemetry.take() else {
         return;
     };
     let depths = ctx.queue_depths();
-    let t = &mut world.telemetry;
-    t.set(ids.queue_near, depths.near as f64);
-    t.set(ids.queue_far, depths.far as f64);
-    t.set(ids.slab_slots, depths.slab_slots as f64);
-    t.set(ids.slab_free, depths.slab_free as f64);
-    t.set(ids.jobs_in_flight, world.jobs.in_flight() as f64);
-    t.set(ids.plan_hits, world.plans.hits as f64);
-    t.set(ids.plan_misses, world.plans.misses as f64);
-    t.set(ids.plan_invalidations, world.plans.invalidations as f64);
-    t.set(
-        ids.entity_cache_hits,
+    let r = &mut t.rec;
+    r.set(t.queue_near, depths.near as f64);
+    r.set(t.queue_far, depths.far as f64);
+    r.set(t.slab_slots, depths.slab_slots as f64);
+    r.set(t.slab_free, depths.slab_free as f64);
+    r.set(t.jobs_in_flight, world.jobs.in_flight() as f64);
+    r.set(t.plan_hits, world.plans.hits as f64);
+    r.set(t.plan_misses, world.plans.misses as f64);
+    r.set(t.plan_invalidations, world.plans.invalidations as f64);
+    r.set(
+        t.entity_cache_hits,
         world.bind_totals.entity_cache_hits as f64,
     );
-    t.set(
-        ids.query_cache_hits,
+    r.set(
+        t.query_cache_hits,
         world.bind_totals.query_cache_hits as f64,
     );
-    t.set(ids.completed, world.completed as f64);
-    t.set(ids.traces_committed, world.tracer.finished().len() as f64);
-    t.set(ids.traces_dropped, world.tracer.dropped() as f64);
-    for &(link, msgs_id, bytes_id) in &ids.wan_links {
+    r.set(t.completed, world.completed as f64);
+    r.set(t.traces_committed, world.tracer.finished().len() as f64);
+    r.set(t.traces_dropped, world.tracer.dropped() as f64);
+    for &(link, msgs_id, bytes_id) in &t.wan_links {
         let (msgs, bytes) = world.net.link_traffic(link);
-        t.set(msgs_id, msgs as f64);
-        t.set(bytes_id, bytes as f64);
+        r.set(msgs_id, msgs as f64);
+        r.set(bytes_id, bytes as f64);
     }
-    if let Some(f) = &ids.faults {
+    if let Some(f) = &t.faults {
         let outcome = world.stats.total_outcome();
-        t.set(f.links_down, world.net.links_down() as f64);
-        t.set(f.nodes_down, world.net.nodes_down() as f64);
-        t.set(f.failed, outcome.failed as f64);
-        t.set(f.retries, outcome.retries as f64);
+        r.set(f.links_down, world.net.links_down() as f64);
+        r.set(f.nodes_down, world.net.nodes_down() as f64);
+        r.set(f.failed, outcome.failed as f64);
+        r.set(f.retries, outcome.retries as f64);
     }
-    if let Some(s) = &ids.shard {
+    if let Some(s) = &t.shard {
         let shard = world.shard.as_ref().expect("shard gauges on sharded runs");
-        t.set(s.outbound_pending, shard.outbound.len() as f64);
-        t.set(s.notes_received, shard.notes.len() as f64);
+        r.set(s.outbound_pending, shard.outbound.len() as f64);
+        r.set(s.notes_received, shard.notes.len() as f64);
     }
-    t.snapshot(ctx.now());
-    if ctx.now() + ids.every <= world.spec.horizon() {
-        ctx.schedule_event_in(ids.every, Ev::Snapshot);
+    r.roll();
+    let every = r.window();
+    if ctx.now() + every <= world.spec.horizon() {
+        ctx.schedule_event_in(every, Ev::Snapshot);
     }
-    world.telemetry_ids = Some(ids);
+    world.telemetry = Some(t);
 }
 
 /// Samples the engine gauges, folds the WAN traffic deltas, and closes the
@@ -1691,12 +1693,10 @@ pub(crate) fn build_sim(input: ExperimentInput, shard: Option<ShardPlan>) -> Sim
         last_done_failed: false,
     };
     let tracer = Tracer::new(spec.trace.tracer_config());
-    let mut telemetry = TelemetryRegistry::new();
-    let telemetry_ids = if spec.trace.telemetry_enabled() {
+    let telemetry = spec.trace.telemetry_enabled().then(|| {
         // The default WAN threshold must match the job executor's; the
         // World impl doesn't override `trace_wan_threshold`.
-        Some(TelemetryIds::register(
-            &mut telemetry,
+        TelemetryState::register(
             &net,
             SimDuration::from_millis(20),
             spec.trace.telemetry_every,
@@ -1704,11 +1704,9 @@ pub(crate) fn build_sim(input: ExperimentInput, shard: Option<ShardPlan>) -> Sim
                 faults: faults_active,
                 sharded: shard.is_some(),
             },
-        ))
-    } else {
-        None
-    };
-    let telemetry_every = telemetry_ids.as_ref().map(|ids| ids.every);
+        )
+    });
+    let telemetry_every = telemetry.as_ref().map(|t| t.rec.window());
     let metrics = spec.metrics.active().then(|| {
         MetricsState::register(
             &net,
@@ -1762,7 +1760,6 @@ pub(crate) fn build_sim(input: ExperimentInput, shard: Option<ShardPlan>) -> Sim
         completed: 0,
         tracer,
         telemetry,
-        telemetry_ids,
         shard: shard.map(|_| ShardCtx {
             outbound: Vec::new(),
             notes: Vec::new(),
@@ -1858,8 +1855,7 @@ pub(crate) fn drain_report(sim: Simulation<World, Ev>) -> ExperimentReport {
                 .collect(),
             group_names: world.spec.groups.iter().map(|g| g.name.clone()).collect(),
             db_node: world.descriptor.db_node.index() as u32,
-            telemetry_names: world.telemetry.names().to_vec(),
-            telemetry: world.telemetry.take_snapshots(),
+            telemetry: world.telemetry.take().map(|t| t.rec),
         })
     } else {
         None
@@ -2117,7 +2113,7 @@ mod tests {
     #[test]
     fn traced_run_commits_spans_and_telemetry() {
         use crate::spec::TraceSettings;
-        use crate::trace_report::page_breakdown;
+        use crate::trace_report::{page_breakdown, telemetry_json};
         let mut input = small_input(40);
         input.spec = input.spec.with_trace(TraceSettings::full());
         let report = run_experiment(input);
@@ -2125,19 +2121,30 @@ mod tests {
         // Full tracing commits one trace per completed measured request.
         let measured = data.traces.iter().filter(|t| t.meta.measured).count() as u64;
         assert_eq!(measured, report.completed);
-        // 150 s horizon at a 5 s cadence.
-        assert_eq!(data.telemetry.len(), 30);
-        assert!(data
-            .telemetry_names
+        // 150 s horizon at a 5 s cadence: one recorder row per snapshot.
+        let telemetry = data.telemetry.as_ref().expect("telemetry armed");
+        assert_eq!(telemetry.window(), SimDuration::from_secs(5));
+        assert_eq!(telemetry.rows().len(), 30);
+        let names = telemetry.gauge_names();
+        assert!(names
             .iter()
             .any(|n| n.starts_with("wan.") && n.ends_with(".bytes")));
-        let last = data.telemetry.last().unwrap();
-        let completed_idx = data
-            .telemetry_names
+        let last = telemetry.rows().last().unwrap();
+        let completed_idx = names
             .iter()
             .position(|n| n == "requests.completed")
             .unwrap();
-        assert!(last.values[completed_idx] > 0.0);
+        assert!(last.gauges[completed_idx] > 0.0);
+        // Row i renders at (i+1)·telemetry_every.
+        let mut json = String::new();
+        telemetry_json(&data, &mut json);
+        let at_s: Vec<&str> = json
+            .split("\"at_s\":")
+            .skip(1)
+            .map(|rest| rest.split(',').next().unwrap())
+            .collect();
+        let want: Vec<String> = (1..=30).map(|i| format!("{:.1}", 5.0 * i as f64)).collect();
+        assert_eq!(at_s, want);
 
         // Critical-path attribution: the centralized config keeps every
         // crossing on the LAN (no logical WAN RTs), but remote clients ride
@@ -2301,10 +2308,14 @@ mod tests {
         assert_eq!(plain.events_fired, armed.events_fired);
         let (pt, at) = (plain.trace.unwrap(), armed.trace.unwrap());
         assert_eq!(jsonl(&pt), jsonl(&at), "span logs byte-identical");
-        assert_eq!(pt.telemetry_names, at.telemetry_names);
         assert_eq!(pt.telemetry, at.telemetry);
         assert!(
-            !pt.telemetry_names.iter().any(|n| n.starts_with("fault.")),
+            !pt.telemetry
+                .as_ref()
+                .unwrap()
+                .gauge_names()
+                .iter()
+                .any(|n| n.starts_with("fault.")),
             "fault gauges exist only on fault runs"
         );
     }
@@ -2534,7 +2545,12 @@ mod tests {
         assert_eq!(jsonl(&ta), jsonl(&tb));
         assert_eq!(ta.telemetry, tb.telemetry);
         assert!(
-            ta.telemetry_names.iter().any(|x| x == "fault.nodes_down"),
+            ta.telemetry
+                .as_ref()
+                .unwrap()
+                .gauge_names()
+                .iter()
+                .any(|x| x == "fault.nodes_down"),
             "fault gauges registered on fault runs"
         );
     }
@@ -2545,6 +2561,15 @@ mod tests {
     #[test]
     fn telemetry_registry_contents_follow_the_armed_subsystems() {
         use crate::spec::TraceSettings;
+        let names_of = |report: ExperimentReport| {
+            report
+                .trace
+                .unwrap()
+                .telemetry
+                .unwrap()
+                .gauge_names()
+                .to_vec()
+        };
         let families = |names: &[String]| {
             (
                 names.iter().any(|n| n.starts_with("fault.")),
@@ -2556,7 +2581,7 @@ mod tests {
         let mut input = small_input(57);
         input.spec = input.spec.with_trace(TraceSettings::full());
         let plain = run_experiment(input);
-        let names = plain.trace.unwrap().telemetry_names;
+        let names = names_of(plain);
         assert_eq!(families(&names), (false, false), "{names:?}");
 
         // Fault-armed run: exactly the fault family joins.
@@ -2571,7 +2596,7 @@ mod tests {
                 policy: FaultPolicy::none(),
             });
         let faulted = run_experiment(input);
-        let names = faulted.trace.unwrap().telemetry_names;
+        let names = names_of(faulted);
         assert_eq!(families(&names), (true, false), "{names:?}");
 
         // Conservative-parallel shard replica: exactly the shard family.
@@ -2587,7 +2612,7 @@ mod tests {
         );
         sim.run_until(horizon);
         let sharded = drain_report(sim);
-        let names = sharded.trace.unwrap().telemetry_names;
+        let names = names_of(sharded);
         assert_eq!(families(&names), (false, true), "{names:?}");
         assert!(names.iter().any(|n| n == "shard.outbound_pending"));
         assert!(names.iter().any(|n| n == "shard.notes_received"));
@@ -2621,14 +2646,16 @@ mod tests {
         assert_eq!(off.staleness_ms, on.staleness_ms);
         let (to, tn) = (off.trace.unwrap(), on.trace.unwrap());
         assert_eq!(jsonl(&to), jsonl(&tn), "span logs byte-identical");
-        assert_eq!(to.telemetry_names, tn.telemetry_names);
+        let (ro, rn) = (to.telemetry.unwrap(), tn.telemetry.unwrap());
+        assert_eq!(ro.gauge_names(), rn.gauge_names());
+        assert_eq!(ro.rows().len(), rn.rows().len());
         // Every telemetry series is *exactly* identical, including the
         // engine queue occupancy gauges: the recorder's roll event rides the
         // internal side queue, which the depth gauges exclude — the observer
         // never observes itself.
-        for (a, b) in to.telemetry.iter().zip(&tn.telemetry) {
-            assert_eq!(a.at, b.at);
-            for ((x, y), name) in a.values.iter().zip(&b.values).zip(&to.telemetry_names) {
+        for (a, b) in ro.rows().iter().zip(rn.rows()) {
+            assert_eq!(a.index, b.index);
+            for ((x, y), name) in a.gauges.iter().zip(&b.gauges).zip(ro.gauge_names()) {
                 assert_eq!(x, y, "{name}");
             }
         }

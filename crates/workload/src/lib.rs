@@ -46,4 +46,6 @@ pub use spec::{
     NetAction, Perturbation, Surge, TraceSettings, WorkloadSpec,
 };
 pub use stats::{GroupOutcome, SeriesKey, WorkloadStats};
-pub use trace_report::{chrome_trace_json, jsonl, page_breakdown, PageTraceRow, TraceData};
+pub use trace_report::{
+    chrome_trace_json, jsonl, page_breakdown, telemetry_json, PageTraceRow, TraceData,
+};

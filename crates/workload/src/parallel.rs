@@ -339,7 +339,7 @@ pub fn run_experiment_parallel(input: ExperimentInput, threads: usize) -> Experi
 
 /// Reduces per-shard reports into one, in ascending shard order: summaries
 /// and outcomes merge by key, counters sum, traces concatenate, telemetry
-/// snapshots and metrics windows sum pointwise, shard self-profiles
+/// and metrics recorders merge row by row, shard self-profiles
 /// concatenate. Gauge-style series (queue depths, fault link counts)
 /// therefore read as *sums over shard replicas* in a merged report.
 fn merge_reports(reports: Vec<ExperimentReport>) -> ExperimentReport {
@@ -364,13 +364,10 @@ fn merge_reports(reports: Vec<ExperimentReport>) -> ExperimentReport {
         match (&mut total.trace, r.trace) {
             (Some(t), Some(o)) => {
                 t.traces.extend(o.traces);
-                assert_eq!(t.telemetry_names, o.telemetry_names);
-                assert_eq!(t.telemetry.len(), o.telemetry.len());
-                for (a, b) in t.telemetry.iter_mut().zip(o.telemetry) {
-                    assert_eq!(a.at, b.at, "snapshot cadences align");
-                    for (x, y) in a.values.iter_mut().zip(b.values) {
-                        *x += y;
-                    }
+                match (&mut t.telemetry, &o.telemetry) {
+                    (Some(a), Some(b)) => a.merge(b),
+                    (None, None) => {}
+                    _ => unreachable!("every shard runs the same telemetry cadence"),
                 }
             }
             (None, None) => {}

@@ -10,12 +10,14 @@
 //! * [`chrome_trace_json`] — Chrome `trace_event` JSON, loadable in
 //!   Perfetto / `chrome://tracing`. Each request gets its own lane; each
 //!   `Parallel` arm gets a sub-lane so `B`/`E` pairs nest properly.
+//! * [`telemetry_json`] — the telemetry snapshot series: gauge names, then
+//!   one `{at_s, values}` object per snapshot row.
 //! * [`page_breakdown`] — the paper-table artifact: mean response time per
 //!   page × client group, decomposed along the critical path into WAN
 //!   propagation, serialization, queueing, server service and DB time, with
 //!   both logical (binder-derived) and critical-path WAN round trips.
 
-use mutsvc_desim::telemetry::TelemetrySnapshot;
+use mutsvc_desim::recorder::Recorder;
 use mutsvc_desim::trace::{critical_path, CompletedTrace, PathBreakdown, Span, SpanKind};
 
 /// A run's trace payload, resolved enough to export without the world.
@@ -31,10 +33,9 @@ pub struct TraceData {
     pub group_names: Vec<String>,
     /// Node index hosting the database.
     pub db_node: u32,
-    /// Telemetry metric names (parallel to snapshot value vectors).
-    pub telemetry_names: Vec<String>,
-    /// Telemetry snapshot series.
-    pub telemetry: Vec<TelemetrySnapshot>,
+    /// Telemetry snapshot gauges, one row per snapshot: row `i` holds the
+    /// values sampled at `(i+1)·window`. `None` when the series is off.
+    pub telemetry: Option<Recorder>,
 }
 
 /// Mean critical-path decomposition of one page for one client group.
@@ -260,6 +261,47 @@ fn render_span_line(data: &TraceData, trace: &CompletedTrace, span: &Span, out: 
     out.push('}');
 }
 
+/// Renders the telemetry series as `{"names":[…],"snapshots":[…]}`: row `i`
+/// of the recorder becomes `{"at_s":(i+1)·window,"values":[…]}`, values to
+/// two decimals. A run without telemetry renders both lists empty.
+pub fn telemetry_json(data: &TraceData, out: &mut String) {
+    let Some(rec) = &data.telemetry else {
+        out.push_str("{\"names\":[],\"snapshots\":[]}");
+        return;
+    };
+    out.push_str("{\"names\":[");
+    for (ni, name) in rec.gauge_names().iter().enumerate() {
+        if ni > 0 {
+            out.push(',');
+        }
+        out.push('"');
+        esc(name, out);
+        out.push('"');
+    }
+    out.push_str("],\"snapshots\":[");
+    for (ri, row) in rec.rows().iter().enumerate() {
+        if ri > 0 {
+            out.push(',');
+        }
+        out.push_str(&format!(
+            "{{\"at_s\":{:.1},\"values\":[",
+            (rec.window() * (row.index + 1)).as_secs_f64()
+        ));
+        for (vi, v) in row.gauges.iter().enumerate() {
+            if vi > 0 {
+                out.push(',');
+            }
+            if v.is_finite() {
+                out.push_str(&format!("{v:.2}"));
+            } else {
+                out.push_str("null");
+            }
+        }
+        out.push_str("]}");
+    }
+    out.push_str("]}");
+}
+
 /// Renders Chrome `trace_event` JSON (the object form, `traceEvents` key),
 /// loadable in Perfetto and `chrome://tracing`.
 ///
@@ -473,8 +515,7 @@ mod tests {
             link_names: vec!["edge1->router".into()],
             group_names: vec!["local".into(), "remote1".into()],
             db_node: 7,
-            telemetry_names: Vec::new(),
-            telemetry: Vec::new(),
+            telemetry: None,
         }
     }
 
