@@ -2,9 +2,10 @@
 //!
 //! Diagnostics carry stable codes (`E001`…, `W101`…) so CI and editors can
 //! filter on them; rendering mimics rustc's `severity[code]: message` shape
-//! with `-->` location lines. JSON output is emitted by hand (the vendored
-//! `serde` stub has no derive support), with proper string escaping.
+//! with `-->` location lines. JSON and SARIF go through the workspace's
+//! [`mutsvc_desim::json`] writer.
 
+use mutsvc_desim::json::Writer;
 use std::fmt::Write as _;
 
 /// Diagnostic severity. Errors fail the build (`mutsvc-analyze` exits
@@ -240,75 +241,54 @@ impl Report {
     /// Renders the report as a JSON object.
     pub fn to_json(&self) -> String {
         let mut out = String::new();
-        out.push('{');
-        let _ = write!(out, "\"app\":{},", json_str(&self.app));
-        let _ = write!(out, "\"config\":{},", json_str(&self.config));
-        out.push_str("\"pages\":[");
-        for (i, p) in self.pages.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
+        let mut w = Writer::new(&mut out);
+        w.begin_object();
+        w.key("app").string(&self.app);
+        w.key("config").string(&self.config);
+        w.key("pages").begin_array();
+        for p in &self.pages {
+            w.begin_object().key("page").string(&p.page);
+            w.key("entry").string(&p.entry);
+            w.key("wan_round_trips").int(p.wan_round_trips);
+            w.key("limit").int(p.limit);
+            w.key("staleness").string(&p.staleness);
+            w.key("crossings").begin_array();
+            for c in &p.crossings {
+                w.begin_object().key("from").string(&c.from);
+                w.key("to").string(&c.to);
+                w.key("kind").string(&c.kind);
+                w.key("trips").int(c.trips);
+                w.key("wan").bool(c.wan);
+                w.key("wan_hops").int(c.wan_hops).end_object();
             }
-            let _ = write!(
-                out,
-                "{{\"page\":{},\"entry\":{},\"wan_round_trips\":{},\"limit\":{},\"staleness\":{},\"crossings\":[",
-                json_str(&p.page),
-                json_str(&p.entry),
-                p.wan_round_trips,
-                p.limit,
-                json_str(&p.staleness)
-            );
-            for (j, c) in p.crossings.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                let _ = write!(
-                    out,
-                    "{{\"from\":{},\"to\":{},\"kind\":{},\"trips\":{},\"wan\":{},\"wan_hops\":{}}}",
-                    json_str(&c.from),
-                    json_str(&c.to),
-                    json_str(&c.kind),
-                    c.trips,
-                    c.wan,
-                    c.wan_hops
-                );
-            }
-            out.push_str("]}");
+            w.end_array().end_object();
         }
-        out.push_str("],\"availability\":[");
-        for (i, row) in self.availability.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"episode\":{},\"availability\":{:.4}}}",
-                json_str(&row.episode),
-                row.availability
-            );
+        w.end_array().key("availability").begin_array();
+        for row in &self.availability {
+            w.begin_object().key("episode").string(&row.episode);
+            w.key("availability").fixed(row.availability, 4);
+            w.end_object();
         }
-        let _ = write!(
-            out,
-            "],\"staleness_iterations\":{},\"staleness_converged\":{},",
-            self.staleness_iterations, self.staleness_converged
-        );
-        out.push_str("\"diagnostics\":[");
-        for (i, d) in self.diagnostics.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"code\":{},\"severity\":{},\"message\":{},\"component\":{},\"node\":{},\"page\":{},\"path\":{}}}",
-                json_str(d.code),
-                json_str(d.severity.label()),
-                json_str(&d.message),
-                json_opt(d.component.as_deref()),
-                json_opt(d.node.as_deref()),
-                json_opt(d.span.page.as_deref()),
-                json_str(&d.span.path)
-            );
+        w.end_array();
+        w.key("staleness_iterations").int(self.staleness_iterations);
+        w.key("staleness_converged").bool(self.staleness_converged);
+        w.key("diagnostics").begin_array();
+        let string_or_null = |w: &mut Writer<'_>, key: &str, s: &Option<String>| {
+            match s {
+                Some(s) => w.key(key).string(s),
+                None => w.key(key).null(),
+            };
+        };
+        for d in &self.diagnostics {
+            w.begin_object().key("code").string(d.code);
+            w.key("severity").string(d.severity.label());
+            w.key("message").string(&d.message);
+            string_or_null(&mut w, "component", &d.component);
+            string_or_null(&mut w, "node", &d.node);
+            string_or_null(&mut w, "page", &d.span.page);
+            w.key("path").string(&d.span.path).end_object();
         }
-        out.push_str("]}");
+        w.end_array().end_object();
         out
     }
 
@@ -317,33 +297,26 @@ impl Report {
         sarif_document(std::slice::from_ref(self))
     }
 
-    /// This report's findings as a SARIF `run` object.
-    fn sarif_run(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\"tool\":{\"driver\":{\"name\":\"mutsvc-analyze\",");
-        let _ = write!(
-            out,
-            "\"informationUri\":{},\"rules\":[",
-            json_str("https://github.com/mutsvc/mutsvc")
-        );
-        for (i, doc) in crate::explain::CODES.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"id\":{},\"shortDescription\":{{\"text\":{}}},\"fullDescription\":{{\"text\":{}}},\"helpUri\":{}}}",
-                json_str(doc.code),
-                json_str(doc.summary),
-                json_str(doc.explain),
-                json_str(&format!("paper:{}", doc.section))
-            );
+    /// Writes this report's findings as a SARIF `run` object.
+    fn write_sarif_run(&self, w: &mut Writer<'_>) {
+        w.begin_object().key("tool").begin_object();
+        w.key("driver").begin_object();
+        w.key("name").string("mutsvc-analyze");
+        w.key("informationUri")
+            .string("https://github.com/mutsvc/mutsvc");
+        w.key("rules").begin_array();
+        for doc in crate::explain::CODES {
+            w.begin_object().key("id").string(doc.code);
+            w.key("shortDescription").begin_object();
+            w.key("text").string(doc.summary).end_object();
+            w.key("fullDescription").begin_object();
+            w.key("text").string(doc.explain).end_object();
+            w.key("helpUri").string(&format!("paper:{}", doc.section));
+            w.end_object();
         }
-        out.push_str("]}},\"results\":[");
-        for (i, d) in self.diagnostics.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
+        w.end_array().end_object().end_object();
+        w.key("results").begin_array();
+        for d in &self.diagnostics {
             let location = match &d.span.page {
                 Some(page) if d.span.path.is_empty() => {
                     format!("{}/{}/{page}", self.app, self.config)
@@ -351,20 +324,17 @@ impl Report {
                 Some(page) => format!("{}/{}/{page}: {}", self.app, self.config, d.span.path),
                 None => format!("{}/{}: {}", self.app, self.config, d.span.path),
             };
-            let _ = write!(
-                out,
-                "{{\"ruleId\":{},\"level\":{},\"message\":{{\"text\":{}}},\"locations\":[{{\"logicalLocations\":[{{\"fullyQualifiedName\":{}}}]}}]}}",
-                json_str(d.code),
-                json_str(match d.severity {
-                    Severity::Error => "error",
-                    Severity::Warning => "warning",
-                }),
-                json_str(&d.message),
-                json_str(&location)
-            );
+            w.begin_object().key("ruleId").string(d.code);
+            w.key("level").string(d.severity.label());
+            w.key("message").begin_object();
+            w.key("text").string(&d.message).end_object();
+            w.key("locations").begin_array().begin_object();
+            w.key("logicalLocations").begin_array().begin_object();
+            w.key("fullyQualifiedName").string(&location);
+            w.end_object().end_array().end_object().end_array();
+            w.end_object();
         }
-        out.push_str("]}");
-        out
+        w.end_array().end_object();
     }
 }
 
@@ -372,43 +342,16 @@ impl Report {
 /// report — the shape GitHub code-scanning ingests for PR annotations.
 pub fn sarif_document(reports: &[Report]) -> String {
     let mut out = String::new();
-    out.push_str("{\"$schema\":\"https://json.schemastore.org/sarif-2.1.0.json\",");
-    out.push_str("\"version\":\"2.1.0\",\"runs\":[");
-    for (i, report) in reports.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&report.sarif_run());
+    let mut w = Writer::new(&mut out);
+    w.begin_object();
+    w.key("$schema")
+        .string("https://json.schemastore.org/sarif-2.1.0.json");
+    w.key("version").string("2.1.0");
+    w.key("runs").begin_array();
+    for report in reports {
+        report.write_sarif_run(&mut w);
     }
-    out.push_str("]}");
-    out
-}
-
-fn json_opt(s: Option<&str>) -> String {
-    match s {
-        Some(s) => json_str(s),
-        None => "null".to_string(),
-    }
-}
-
-/// Escapes a string as a JSON string literal.
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
+    w.end_array().end_object();
     out
 }
 

@@ -7,6 +7,7 @@
 
 use mutsvc_analyze::{analyze_target, cross_check_traced_wan};
 use mutsvc_core::{AppKind, Config};
+use mutsvc_desim::json;
 
 /// The text transcript for every cell, concatenated in CLI `--all` order
 /// (applications outer, configurations inner).
@@ -52,6 +53,11 @@ fn repeated_analysis_is_byte_identical() {
                 app.name(),
                 config.name()
             );
+            // Both machine-readable renderings are well-formed JSON.
+            let doc = json::parse(&first.to_json()).expect("report JSON parses");
+            assert_eq!(doc.str_at("app"), Ok(app.name()));
+            let sarif = json::parse(&first.to_sarif()).expect("SARIF parses");
+            assert_eq!(sarif.array_at("runs").map(<[_]>::len), Ok(1));
         }
     }
 }

@@ -8,7 +8,6 @@
 use mutsvc_desim::time::SimDuration;
 use mutsvc_middleware::{Call, DbAccess, PageRequest};
 use mutsvc_relstore::{Mutation, Query, RowId, Value};
-use serde::{Deserialize, Serialize};
 
 use super::components::RubisComponents;
 use super::schema::{catregion_key, RubisTables};
@@ -43,7 +42,7 @@ pub mod tags {
 }
 
 /// The RUBiS pages measured in Table 7.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum RubisPage {
     /// Static entry page.
     Main,
@@ -144,7 +143,7 @@ pub struct RubisParams {
 }
 
 /// CPU and size calibration for RUBiS pages (much lighter than Pet Store).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RubisCosts {
     /// Servlet render demand for a static page (ms).
     pub render_ms: f64,

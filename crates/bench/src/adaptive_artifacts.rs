@@ -18,9 +18,10 @@
 //! alone. Schedules and controller rounds are deterministic: a same-seed
 //! suite run renders `BENCH_adaptive.json` byte-identically.
 
-use crate::fault_artifacts::{after_each, fmt2, fmt4, outcome_json};
+use crate::fault_artifacts::{check_rates, write_outcome};
 use crate::metrics_artifacts::default_slo;
 use mutsvc_core::{adaptive_episode_input, AdaptiveEpisode, AppKind};
+use mutsvc_desim::json::{self, Writer};
 use mutsvc_desim::time::SimDuration;
 use mutsvc_workload::{
     evaluate, run_experiment, AdaptiveSettings, ExperimentReport, MoveKind, SloReport,
@@ -162,113 +163,82 @@ fn move_kind_name(kind: MoveKind) -> &'static str {
     }
 }
 
-/// Renders one arm cell of `BENCH_adaptive.json` — the migration schedule,
+/// Writes one arm cell of `BENCH_adaptive.json` — the migration schedule,
 /// cost trajectory, per-group outcomes and SLO verdicts of a single run.
 /// Public so the thread-invariance suite can pin the rendered bytes.
-pub fn adaptive_cell_json(cell: &AdaptiveCell) -> String {
-    // `"arm":"..","migration_count":N` stays adjacent: the validator keys
-    // its physics checks (quiescent-zero, degradation-nonzero) on the pair.
-    let mut out = format!(
-        "{{\"arm\":\"{}\",\"migration_count\":{},\"completed\":{},\"stressed\":{{\
-         \"group\":\"{STRESSED_GROUP}\",\"session_mean_ms\":{},\"availability\":{}}}",
-        cell.arm,
-        cell.migration_count(),
-        cell.report.completed,
-        fmt2(cell.stressed_session_ms().unwrap_or(f64::NAN)),
-        fmt4(cell.stressed_availability()),
-    );
-    out.push_str(",\"migrations\":[");
-    if let Some(data) = &cell.report.adaptive {
-        for (i, m) in data.migrations.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"at_ms\":{},\"component\":\"{}\",\"kind\":\"{}\",\"from\":\"{}\",\
-                 \"to\":\"{}\",\"modeled_gain_ms_per_s\":{}}}",
-                fmt2(m.decided_at.as_millis_f64()),
-                m.component,
-                move_kind_name(m.kind),
-                m.from,
-                m.to,
-                fmt2(m.modeled_gain),
-            ));
-        }
+pub fn write_adaptive_cell(w: &mut Writer<'_>, cell: &AdaptiveCell) {
+    w.begin_object().key("arm").string(cell.arm);
+    w.key("migration_count").int(cell.migration_count() as u64);
+    w.key("completed").int(cell.report.completed);
+    w.key("stressed").begin_object();
+    w.key("group").string(STRESSED_GROUP);
+    let session_ms = cell.stressed_session_ms().unwrap_or(f64::NAN);
+    w.key("session_mean_ms").fixed(session_ms, 2);
+    w.key("availability").fixed(cell.stressed_availability(), 4);
+    w.end_object().key("migrations").begin_array();
+    let adaptive = cell.report.adaptive.as_ref();
+    for m in adaptive.map_or(&[][..], |d| &d.migrations) {
+        w.begin_object();
+        w.key("at_ms").fixed(m.decided_at.as_millis_f64(), 2);
+        w.key("component").string(&m.component);
+        w.key("kind").string(move_kind_name(m.kind));
+        w.key("from").string(&m.from);
+        w.key("to").string(&m.to);
+        w.key("modeled_gain_ms_per_s").fixed(m.modeled_gain, 2);
+        w.end_object();
     }
-    out.push_str("],\"rounds\":[");
-    if let Some(data) = &cell.report.adaptive {
-        for (i, r) in data.rounds.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"at_ms\":{},\"windows\":{},\"cost_before\":{},\"cost_after\":{},\
-                 \"observed_p50_ms\":{},\"moves\":{}}}",
-                fmt2(r.at.as_millis_f64()),
-                r.windows,
-                fmt2(r.cost_before),
-                fmt2(r.cost_after),
-                fmt2(r.observed_p50_ms),
-                r.moves,
-            ));
-        }
+    w.end_array().key("rounds").begin_array();
+    for r in adaptive.map_or(&[][..], |d| &d.rounds) {
+        w.begin_object().key("at_ms").fixed(r.at.as_millis_f64(), 2);
+        w.key("windows").int(r.windows);
+        w.key("cost_before").fixed(r.cost_before, 2);
+        w.key("cost_after").fixed(r.cost_after, 2);
+        w.key("observed_p50_ms").fixed(r.observed_p50_ms, 2);
+        w.key("moves").int(r.moves).end_object();
     }
-    out.push_str("],\"groups\":[");
-    for (i, (group, outcome)) in cell.report.stats.outcomes().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "{{\"group\":\"{group}\",\"outcome\":{}}}",
-            outcome_json(outcome, cell.window)
-        ));
+    w.end_array().key("groups").begin_array();
+    for (group, outcome) in cell.report.stats.outcomes() {
+        w.begin_object().key("group").string(group);
+        w.key("outcome");
+        write_outcome(w, outcome, cell.window);
+        w.end_object();
     }
-    out.push_str(&format!(
-        "],\"slo\":{{\"all_met\":{},\"verdicts\":[",
-        cell.slo.all_met()
-    ));
-    for (i, v) in cell.slo.verdicts.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "{{\"objective\":\"{}\",\"target\":{},\"attained\":{},\"met\":{}}}",
-            v.objective,
-            fmt4(v.target),
-            fmt4(v.attained),
-            v.met,
-        ));
+    w.end_array().key("slo").begin_object();
+    w.key("all_met").bool(cell.slo.all_met());
+    w.key("verdicts").begin_array();
+    for v in &cell.slo.verdicts {
+        w.begin_object().key("objective").string(&v.objective);
+        w.key("target").fixed(v.target, 4);
+        w.key("attained").fixed(v.attained, 4);
+        w.key("met").bool(v.met).end_object();
     }
-    out.push_str("]}}");
-    out
+    w.end_array().end_object().end_object();
 }
 
 /// Renders `BENCH_adaptive.json`: per app × episode, both controller arms
 /// (migration schedule, cost trajectory, per-group outcomes, SLO verdicts)
-/// plus the stressed group's on-minus-off delta.
+/// plus the stressed group's on-minus-off delta. Every app, episode and arm
+/// starts on a line of its own.
 pub fn render_adaptive_json(
     sweeps: &[(AppKind, Vec<AdaptiveCell>)],
     seed: u64,
     mode: &str,
 ) -> String {
-    let mut out = format!(
-        "{{\"suite\":\"adaptive\",\"mode\":\"{mode}\",\"seed\":{seed},\"cadence_s\":{},\
-         \"stressed_group\":\"{STRESSED_GROUP}\",\"apps\":[",
-        suite_cadence().as_secs_f64() as u64,
-    );
-    for (ai, (app, cells)) in sweeps.iter().enumerate() {
-        if ai > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!("\n{{\"app\":\"{}\",\"episodes\":[", app.name()));
-        for (ei, episode) in AdaptiveEpisode::all().into_iter().enumerate() {
-            if ei > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "\n{{\"episode\":\"{}\",\"arms\":[",
-                episode.name()
-            ));
+    let mut out = String::new();
+    let mut w = Writer::new(&mut out);
+    w.begin_object().key("suite").string("adaptive");
+    w.key("mode").string(mode);
+    w.key("seed").int(seed);
+    w.key("cadence_s").int(suite_cadence().as_secs_f64() as u64);
+    w.key("stressed_group").string(STRESSED_GROUP);
+    w.key("apps").begin_array();
+    for (app, cells) in sweeps {
+        w.line_break().begin_object().key("app").string(app.name());
+        w.key("episodes").begin_array();
+        for episode in AdaptiveEpisode::all() {
+            w.line_break().begin_object();
+            w.key("episode").string(episode.name());
+            w.key("arms").begin_array();
             let arm = |name| {
                 cells
                     .iter()
@@ -276,24 +246,22 @@ pub fn render_adaptive_json(
                     .expect("suite covers every episode x arm")
             };
             let (on, off) = (arm("on"), arm("off"));
-            out.push_str(&format!(
-                "\n{},\n{}",
-                adaptive_cell_json(on),
-                adaptive_cell_json(off)
-            ));
+            write_adaptive_cell(w.line_break(), on);
+            write_adaptive_cell(w.line_break(), off);
             let rt_delta = match (on.stressed_session_ms(), off.stressed_session_ms()) {
                 (Some(a), Some(b)) => a - b,
                 _ => f64::NAN,
             };
-            out.push_str(&format!(
-                "],\"delta\":{{\"stressed_session_mean_ms\":{},\"stressed_availability\":{}}}}}",
-                fmt2(rt_delta),
-                fmt4(on.stressed_availability() - off.stressed_availability()),
-            ));
+            let avail_delta = on.stressed_availability() - off.stressed_availability();
+            w.end_array().key("delta").begin_object();
+            w.key("stressed_session_mean_ms").fixed(rt_delta, 2);
+            w.key("stressed_availability").fixed(avail_delta, 4);
+            w.end_object().end_object();
         }
-        out.push_str("]}");
+        w.end_array().end_object();
     }
-    out.push_str("]}\n");
+    w.end_array().end_object();
+    out.push('\n');
     out
 }
 
@@ -339,117 +307,79 @@ pub fn render_adaptive_table(app: AppKind, cells: &[AdaptiveCell]) -> String {
     out
 }
 
-fn leading_number(rest: &str) -> Result<f64, String> {
-    let num = rest.split([',', '}', ']']).next().unwrap_or_default();
-    num.parse()
-        .map_err(|_| format!("bad number {num:?} in adaptive document"))
-}
-
-/// Structurally validates a `BENCH_adaptive.json` document: balanced
-/// braces/brackets, the required header and section keys, known episode
-/// and arm names, every `availability` in `[0, 1]` — and the suite's
-/// physics: the quiescent on-arm committed **zero** migrations while the
-/// link-degradation on-arm committed at least one. Returns the number of
-/// arm cells found.
-///
-/// This is a purpose-built scanner for our own renderer's output, not a
-/// general JSON parser (the vendored `serde` is a stub).
+/// Validates a `BENCH_adaptive.json` document: well-formed JSON opening
+/// with the `{"suite":"adaptive"}` header, a `mode` and `seed`, and per app
+/// × episode the schema [`render_adaptive_json`] writes — known episode
+/// names, a `delta`, and `on`/`off` arm cells each carrying a migration
+/// count, migrations, rounds, per-group outcomes, an SLO grade and a
+/// stressed-group availability, every `availability` a number in `[0, 1]`.
+/// It also enforces the suite's physics: each episode has exactly one
+/// on-arm, the quiescent on-arm committed **zero** migrations, the
+/// link-degradation on-arm at least one, and the frozen arm none. Returns
+/// the number of arm cells found.
 pub fn validate_adaptive_json(json: &str) -> Result<usize, String> {
-    let (mut braces, mut brackets) = (0i64, 0i64);
-    for ch in json.chars() {
-        match ch {
-            '{' => braces += 1,
-            '}' => braces -= 1,
-            '[' => brackets += 1,
-            ']' => brackets -= 1,
-            _ => {}
-        }
-        if braces < 0 || brackets < 0 {
-            return Err("closing brace before its opener".to_string());
-        }
-    }
-    if braces != 0 || brackets != 0 {
-        return Err(format!(
-            "unbalanced document ({braces} braces, {brackets} brackets open)"
-        ));
-    }
-    if !json.starts_with("{\"suite\":\"adaptive\"") {
+    let doc = json::parse(json)?;
+    if doc.str_at("suite")? != "adaptive" {
         return Err("missing {\"suite\":\"adaptive\"} header".to_string());
     }
-    for key in [
-        "\"mode\":",
-        "\"seed\":",
-        "\"apps\":",
-        "\"episodes\":",
-        "\"migrations\":",
-        "\"rounds\":",
-        "\"slo\":",
-        "\"delta\":",
-    ] {
-        if !json.contains(key) {
-            return Err(format!("missing key {key}"));
-        }
-    }
-    for rest in after_each(json, "\"episode\":\"") {
-        let name = rest.split('"').next().unwrap_or_default();
-        if !AdaptiveEpisode::all().iter().any(|e| e.name() == name) {
-            return Err(format!("unknown episode {name:?}"));
-        }
-    }
-    for rest in after_each(json, "\"arm\":\"") {
-        let name = rest.split('"').next().unwrap_or_default();
-        if name != "on" && name != "off" {
-            return Err(format!("unknown controller arm {name:?}"));
-        }
-    }
-    for rest in after_each(json, "\"availability\":") {
-        let v = leading_number(rest)?;
-        if !(0.0..=1.0).contains(&v) {
-            return Err(format!("availability {v} out of [0,1]"));
-        }
-    }
-    // Physics: the on-arm migration count per episode. Episode chunks run
-    // to the next episode header, so the adjacent arm/count pairs below
-    // belong to the episode that opened the chunk.
-    for rest in after_each(json, "\"episode\":\"") {
-        let episode = rest.split('"').next().unwrap_or_default();
-        let chunk = rest.split("\"episode\":\"").next().unwrap_or(rest);
-        let counts = after_each(chunk, "\"arm\":\"on\",\"migration_count\":");
-        if counts.len() != 1 {
-            return Err(format!(
-                "episode {episode:?} has {} on-arms, wanted exactly one",
-                counts.len()
-            ));
-        }
-        let count = leading_number(counts[0])? as i64;
-        match episode {
-            "quiescent" if count != 0 => {
+    doc.str_at("mode")?;
+    doc.num_at("seed")?;
+    let mut cells = 0;
+    for app in doc.array_at("apps")? {
+        app.str_at("app")?;
+        for ep in app.array_at("episodes")? {
+            let episode = ep.str_at("episode")?;
+            if !AdaptiveEpisode::all().iter().any(|e| e.name() == episode) {
+                return Err(format!("unknown episode {episode:?}"));
+            }
+            ep.object_at("delta")?;
+            let mut on_counts = Vec::new();
+            let mut off_count = None;
+            for arm in ep.array_at("arms")? {
+                let count = arm.num_at("migration_count")?;
+                match arm.str_at("arm")? {
+                    "on" => on_counts.push(count),
+                    "off" => off_count = off_count.or(Some(count)),
+                    name => return Err(format!("unknown controller arm {name:?}")),
+                }
+                arm.array_at("migrations")?;
+                arm.array_at("rounds")?;
+                arm.object_at("slo")?;
+                check_rates(arm.object_at("stressed")?, &["availability"])?;
+                for group in arm.array_at("groups")? {
+                    check_rates(group.object_at("outcome")?, &["availability"])?;
+                }
+                cells += 1;
+            }
+            let [count] = on_counts[..] else {
                 return Err(format!(
-                    "the quiescent control committed {count} migrations; the drift floor must \
-                     hold at zero"
+                    "episode {episode:?} has {} on-arms, wanted exactly one",
+                    on_counts.len()
+                ));
+            };
+            match episode {
+                "quiescent" if count != 0.0 => {
+                    return Err(format!(
+                        "the quiescent control committed {count} migrations; the drift floor must \
+                         hold at zero"
+                    ));
+                }
+                "link-degradation" if count == 0.0 => {
+                    return Err(
+                        "the link-degradation on-arm committed no migrations; the controller \
+                         must react to the slowed corridor"
+                            .to_string(),
+                    );
+                }
+                _ => {}
+            }
+            if off_count != Some(0.0) {
+                return Err(format!(
+                    "episode {episode:?} frozen arm reports migrations (or none at all)"
                 ));
             }
-            "link-degradation" if count == 0 => {
-                return Err(
-                    "the link-degradation on-arm committed no migrations; the controller \
-                     must react to the slowed corridor"
-                        .to_string(),
-                );
-            }
-            _ => {}
-        }
-        if after_each(chunk, "\"arm\":\"off\",\"migration_count\":")
-            .first()
-            .map(|r| leading_number(r))
-            .transpose()?
-            != Some(0.0)
-        {
-            return Err(format!(
-                "episode {episode:?} frozen arm reports migrations (or none at all)"
-            ));
         }
     }
-    let cells = after_each(json, "\"arm\":\"").len();
     if cells == 0 {
         return Err("no arm cells".to_string());
     }
@@ -500,13 +430,19 @@ mod tests {
 
     /// A minimal well-formed document the rejection tests tamper with.
     fn minimal_doc(quiescent_on: usize, degradation_on: usize) -> String {
+        let arm = |name: &str, count: usize| {
+            format!(
+                "{{\"arm\":\"{name}\",\"migration_count\":{count},\
+                 \"stressed\":{{\"availability\":1.0000}},\"migrations\":[],\"rounds\":[],\
+                 \"groups\":[{{\"group\":\"local\",\"outcome\":{{\"availability\":1.0000}}}}],\
+                 \"slo\":{{}}}}"
+            )
+        };
         let episode = |name: &str, on: usize| {
             format!(
-                "{{\"episode\":\"{name}\",\"arms\":[\
-                 {{\"arm\":\"on\",\"migration_count\":{on},\"availability\":1.0000,\
-                 \"migrations\":[],\"rounds\":[],\"slo\":{{}}}},\
-                 {{\"arm\":\"off\",\"migration_count\":0,\"availability\":1.0000}}],\
-                 \"delta\":{{}}}}"
+                "{{\"episode\":\"{name}\",\"arms\":[{},{}],\"delta\":{{}}}}",
+                arm("on", on),
+                arm("off", 0)
             )
         };
         format!(
@@ -545,5 +481,12 @@ mod tests {
             1,
         );
         assert!(validate_adaptive_json(&bad).is_err());
+        // Field order is not part of the schema: an arm whose migration
+        // count does not follow its name is still valid.
+        let reordered = json.replace(
+            "\"migration_count\":",
+            "\"completed\":0,\"migration_count\":",
+        );
+        assert_eq!(validate_adaptive_json(&reordered), Ok(8));
     }
 }

@@ -54,7 +54,7 @@
 //! controller on and off, prints the per-episode on/off table and writes
 //! `BENCH_adaptive.json` (migration schedules, cost trajectories, SLO
 //! verdicts, stressed-group deltas). The written document must pass the
-//! structural validator — the quiescent control commits zero migrations,
+//! typed schema check — the quiescent control commits zero migrations,
 //! the link-degradation episode at least one. `--smoke` shortens the
 //! windows for CI's schema-validation gate.
 //!
@@ -114,6 +114,20 @@ struct Options {
     metrics: bool,
     metrics_config: Option<Config>,
     adaptive: bool,
+}
+
+impl Options {
+    /// The window length a run uses — the `mode` every suite artifact
+    /// records: `smoke`, `quick` or `paper`.
+    fn mode(&self) -> &'static str {
+        if self.smoke {
+            "smoke"
+        } else if self.quick {
+            "quick"
+        } else {
+            "paper"
+        }
+    }
 }
 
 fn parse_args() -> Options {
@@ -410,38 +424,19 @@ fn print_trace(opts: &Options) {
         eprintln!(
             "running traced {} sweep ({} mode, seed {})...",
             app.name(),
-            if opts.smoke {
-                "smoke"
-            } else if opts.quick {
-                "quick"
-            } else {
-                "paper"
-            },
+            opts.mode(),
             opts.seed
         );
         let cells = run_traced_sweep(app, &configs, opts.quick, opts.smoke, opts.seed);
         for cell in &cells {
             let data = cell.report.trace.as_ref().unwrap();
             let spans_path = format!("TRACE_{}_{}.spans.jsonl", app.name(), cell.config.name());
-            match std::fs::write(&spans_path, mutsvc_workload::jsonl(data)) {
-                Ok(()) => println!("wrote {spans_path} ({} traces)", data.traces.len()),
-                Err(e) => eprintln!("failed to write {spans_path}: {e}"),
-            }
+            let note = Ok(format!(" ({} traces)", data.traces.len()));
+            write_artifact(&spans_path, &mutsvc_workload::jsonl(data), note);
             let chrome = mutsvc_workload::chrome_trace_json(data, CHROME_TRACE_CAP);
-            match validate_chrome_trace(&chrome) {
-                Ok(pairs) => {
-                    let chrome_path =
-                        format!("TRACE_{}_{}.chrome.json", app.name(), cell.config.name());
-                    match std::fs::write(&chrome_path, &chrome) {
-                        Ok(()) => println!("wrote {chrome_path} ({pairs} span pairs)"),
-                        Err(e) => eprintln!("failed to write {chrome_path}: {e}"),
-                    }
-                }
-                Err(e) => {
-                    eprintln!("invalid Chrome trace for {}: {e}", cell.config.name());
-                    std::process::exit(1);
-                }
-            }
+            let chrome_path = format!("TRACE_{}_{}.chrome.json", app.name(), cell.config.name());
+            let note = validate_chrome_trace(&chrome).map(|n| format!(" ({n} span pairs)"));
+            write_artifact(&chrome_path, &chrome, note);
             for diag in cell
                 .static_report
                 .diagnostics
@@ -472,13 +467,7 @@ fn print_trace(opts: &Options) {
 }
 
 fn print_faults(opts: &Options) {
-    let mode = if opts.smoke {
-        "smoke"
-    } else if opts.quick {
-        "quick"
-    } else {
-        "paper"
-    };
+    let mode = opts.mode();
     let mut sweeps: Vec<(AppKind, Vec<FaultCell>)> = Vec::new();
     let mut violations = Vec::new();
     for &app in &opts.apps {
@@ -495,19 +484,8 @@ fn print_faults(opts: &Options) {
         sweeps.push((app, cells));
     }
     let json = render_faults_json(&sweeps, opts.seed, mode);
-    match validate_faults_json(&json) {
-        Ok(cells) => {
-            let path = "BENCH_faults.json";
-            match std::fs::write(path, &json) {
-                Ok(()) => println!("wrote {path} ({cells} cells)"),
-                Err(e) => eprintln!("failed to write {path}: {e}"),
-            }
-        }
-        Err(e) => {
-            eprintln!("invalid BENCH_faults.json: {e}");
-            std::process::exit(1);
-        }
-    }
+    let note = validate_faults_json(&json).map(|n| format!(" ({n} cells)"));
+    write_artifact("BENCH_faults.json", &json, note);
     if violations.is_empty() {
         println!(
             "graceful degradation: centralized < remote-facade < caching \
@@ -527,13 +505,7 @@ fn print_faults(opts: &Options) {
 }
 
 fn print_metrics(opts: &Options) {
-    let mode = if opts.smoke {
-        "smoke"
-    } else if opts.quick {
-        "quick"
-    } else {
-        "paper"
-    };
+    let mode = opts.mode();
     let configs: Vec<Config> = match opts.metrics_config {
         Some(config) => vec![config],
         None => Config::all().to_vec(),
@@ -550,10 +522,8 @@ fn print_metrics(opts: &Options) {
         for cell in &cells {
             let data = cell.report.metrics.as_ref().unwrap();
             let path = format!("METRICS_{}_{}.jsonl", app.name(), cell.config.name());
-            match std::fs::write(&path, metrics_jsonl(data)) {
-                Ok(()) => println!("wrote {path} ({} windows)", data.recorder.rows().len()),
-                Err(e) => eprintln!("failed to write {path}: {e}"),
-            }
+            let note = Ok(format!(" ({} windows)", data.recorder.rows().len()));
+            write_artifact(&path, &metrics_jsonl(data), note);
             for diag in cell
                 .static_report
                 .diagnostics
@@ -574,19 +544,8 @@ fn print_metrics(opts: &Options) {
         sweeps.push((app, cells, overhead));
     }
     let json = render_metrics_json(&sweeps, opts.seed, mode);
-    match validate_metrics_json(&json) {
-        Ok(cells) => {
-            let path = "BENCH_metrics.json";
-            match std::fs::write(path, &json) {
-                Ok(()) => println!("wrote {path} ({cells} cells)"),
-                Err(e) => eprintln!("failed to write {path}: {e}"),
-            }
-        }
-        Err(e) => {
-            eprintln!("invalid BENCH_metrics.json: {e}");
-            std::process::exit(1);
-        }
-    }
+    let note = validate_metrics_json(&json).map(|n| format!(" ({n} cells)"));
+    write_artifact("BENCH_metrics.json", &json, note);
     if unreachable > 0 {
         eprintln!(
             "SLO reachability: {unreachable} W113 warning(s) — an objective sits below \
@@ -598,13 +557,7 @@ fn print_metrics(opts: &Options) {
 }
 
 fn print_adaptive(opts: &Options) {
-    let mode = if opts.smoke {
-        "smoke"
-    } else if opts.quick {
-        "quick"
-    } else {
-        "paper"
-    };
+    let mode = opts.mode();
     let mut sweeps: Vec<(AppKind, Vec<AdaptiveCell>)> = Vec::new();
     for &app in &opts.apps {
         eprintln!(
@@ -636,18 +589,21 @@ fn print_adaptive(opts: &Options) {
         sweeps.push((app, cells));
     }
     let json = render_adaptive_json(&sweeps, opts.seed, mode);
-    match validate_adaptive_json(&json) {
-        Ok(cells) => {
-            let path = "BENCH_adaptive.json";
-            match std::fs::write(path, &json) {
-                Ok(()) => println!("wrote {path} ({cells} arm cells)"),
-                Err(e) => eprintln!("failed to write {path}: {e}"),
-            }
-        }
-        Err(e) => {
-            eprintln!("invalid BENCH_adaptive.json: {e}");
-            std::process::exit(1);
-        }
+    let note = validate_adaptive_json(&json).map(|n| format!(" ({n} arm cells)"));
+    write_artifact("BENCH_adaptive.json", &json, note);
+}
+
+/// Writes an artifact to `path` once its check passed: `note` is the log
+/// suffix, or the check's error — then nothing is written and the run exits
+/// nonzero.
+fn write_artifact(path: &str, contents: &str, note: Result<String, String>) {
+    let note = note.unwrap_or_else(|e| {
+        eprintln!("invalid {path}: {e}");
+        std::process::exit(1);
+    });
+    match std::fs::write(path, contents) {
+        Ok(()) => println!("wrote {path}{note}"),
+        Err(e) => eprintln!("failed to write {path}: {e}"),
     }
 }
 

@@ -13,6 +13,7 @@
 //! determinism tests diff sequential vs parallel execution.
 
 use mutsvc_core::{AppKind, Config, FaultCase, Scenario};
+use mutsvc_desim::json::{self, Value, Writer};
 use mutsvc_desim::time::SimDuration;
 use mutsvc_workload::{ExperimentReport, FaultPolicy, GroupOutcome};
 
@@ -89,96 +90,72 @@ pub fn run_fault_suite(app: AppKind, quick: bool, smoke: bool, seed: u64) -> Vec
         .collect()
 }
 
-pub(crate) fn fmt2(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:.2}")
-    } else {
-        "null".to_string()
-    }
-}
-
-pub(crate) fn fmt4(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:.4}")
-    } else {
-        "null".to_string()
-    }
-}
-
-pub(crate) fn outcome_json(outcome: &GroupOutcome, window: SimDuration) -> String {
-    format!(
-        "{{\"ok\":{},\"failed\":{},\"retries\":{},\"failovers\":{},\"stale_served\":{},\
-         \"availability\":{},\"error_rate\":{},\"goodput_rps\":{}}}",
-        outcome.ok,
-        outcome.failed,
-        outcome.retries,
-        outcome.failovers,
-        outcome.stale_served,
-        fmt4(outcome.availability()),
-        fmt4(outcome.error_rate()),
-        fmt2(outcome.goodput(window)),
-    )
+/// Writes one group's request outcomes as a JSON object.
+pub(crate) fn write_outcome(w: &mut Writer<'_>, outcome: &GroupOutcome, window: SimDuration) {
+    w.begin_object().key("ok").int(outcome.ok);
+    w.key("failed").int(outcome.failed);
+    w.key("retries").int(outcome.retries);
+    w.key("failovers").int(outcome.failovers);
+    w.key("stale_served").int(outcome.stale_served);
+    w.key("availability").fixed(outcome.availability(), 4);
+    w.key("error_rate").fixed(outcome.error_rate(), 4);
+    w.key("goodput_rps").fixed(outcome.goodput(window), 2);
+    w.end_object();
 }
 
 /// Renders `BENCH_faults.json`: per app × episode × policy arm, each
 /// configuration's request outcomes (total and per client group) and the
-/// staleness distribution of partition-served reads.
+/// staleness distribution of partition-served reads. Every app, case,
+/// policy and configuration cell starts on a line of its own.
 pub fn render_faults_json(sweeps: &[(AppKind, Vec<FaultCell>)], seed: u64, mode: &str) -> String {
-    let mut out = format!("{{\"suite\":\"faults\",\"mode\":\"{mode}\",\"seed\":{seed},\"apps\":[");
-    for (ai, (app, cells)) in sweeps.iter().enumerate() {
-        if ai > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!("\n{{\"app\":\"{}\",\"cases\":[", app.name()));
-        for (ci, case) in FaultCase::all().into_iter().enumerate() {
-            if ci > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("\n{{\"case\":\"{}\",\"policies\":[", case.name()));
-            for (pi, (policy, _)) in suite_policies().into_iter().enumerate() {
-                if pi > 0 {
-                    out.push(',');
-                }
-                out.push_str(&format!("\n{{\"policy\":\"{policy}\",\"configs\":["));
-                let mut first = true;
+    let mut out = String::new();
+    let mut w = Writer::new(&mut out);
+    w.begin_object().key("suite").string("faults");
+    w.key("mode").string(mode);
+    w.key("seed").int(seed);
+    w.key("apps").begin_array();
+    for (app, cells) in sweeps {
+        w.line_break().begin_object().key("app").string(app.name());
+        w.key("cases").begin_array();
+        for case in FaultCase::all() {
+            w.line_break().begin_object();
+            w.key("case").string(case.name());
+            w.key("policies").begin_array();
+            for (policy, _) in suite_policies() {
+                w.line_break().begin_object().key("policy").string(policy);
+                w.key("configs").begin_array();
                 for cell in cells
                     .iter()
                     .filter(|c| c.case == case && c.policy == policy)
                 {
-                    if !first {
-                        out.push(',');
-                    }
-                    first = false;
                     let stats = &cell.report.stats;
                     let hist = stats.staleness_histogram();
-                    out.push_str(&format!(
-                        "\n{{\"config\":\"{}\",\"completed\":{},\"total\":{},\
-                         \"staleness_ms\":{{\"count\":{},\"p50\":{},\"p95\":{}}},\"groups\":[",
-                        cell.config.name(),
-                        cell.report.completed,
-                        outcome_json(&stats.total_outcome(), cell.window),
-                        hist.total(),
-                        fmt2(hist.quantile(0.5)),
-                        fmt2(hist.quantile(0.95)),
-                    ));
-                    for (gi, (group, outcome)) in stats.outcomes().enumerate() {
-                        if gi > 0 {
-                            out.push(',');
-                        }
-                        out.push_str(&format!(
-                            "{{\"group\":\"{group}\",\"outcome\":{}}}",
-                            outcome_json(outcome, cell.window)
-                        ));
+                    w.line_break().begin_object();
+                    w.key("config").string(cell.config.name());
+                    w.key("completed").int(cell.report.completed);
+                    w.key("total");
+                    write_outcome(&mut w, &stats.total_outcome(), cell.window);
+                    w.key("staleness_ms").begin_object();
+                    w.key("count").int(hist.total());
+                    w.key("p50").fixed(hist.quantile(0.5), 2);
+                    w.key("p95").fixed(hist.quantile(0.95), 2);
+                    w.end_object().key("groups").begin_array();
+                    for (group, outcome) in stats.outcomes() {
+                        w.begin_object().key("group").string(group);
+                        w.key("outcome");
+                        write_outcome(&mut w, outcome, cell.window);
+                        w.end_object();
                     }
-                    out.push_str("]}");
+                    w.end_array().end_object();
                 }
-                out.push_str("]}");
+                w.end_array().end_object();
             }
-            out.push_str("]}");
+            w.end_array().end_object();
         }
-        out.push_str("]}");
+        w.end_array().end_object();
     }
-    out.push_str("]}\n");
+    w.end_array().end_object();
+    out.push('\n');
     out
 }
 
@@ -259,71 +236,54 @@ pub fn partition_ordering_violations(cells: &[FaultCell]) -> Vec<String> {
     violations
 }
 
-pub(crate) fn after_each<'a>(json: &'a str, key: &str) -> Vec<&'a str> {
-    json.match_indices(key)
-        .map(|(i, m)| &json[i + m.len()..])
-        .collect()
+/// Checks that each of `keys` in an outcome object is a number in `[0, 1]`.
+pub(crate) fn check_rates(outcome: &Value, keys: &[&str]) -> Result<(), String> {
+    for &key in keys {
+        let v = outcome.num_at(key)?;
+        if !(0.0..=1.0).contains(&v) {
+            return Err(format!("\"{key}\":{v} out of [0,1]"));
+        }
+    }
+    Ok(())
 }
 
-/// Structurally validates a `BENCH_faults.json` document: balanced
-/// braces/brackets, the required header and section keys, known episode
-/// names, and every `availability`/`error_rate` a number in `[0, 1]`.
-/// Returns the number of configuration cells found.
-///
-/// This is a purpose-built scanner for our own renderer's output, not a
-/// general JSON parser (the vendored `serde` is a stub).
+/// Validates a `BENCH_faults.json` document: well-formed JSON opening with
+/// the `{"suite":"faults"}` header, a `mode` and `seed`, and per app × case
+/// × policy × configuration the schema [`render_faults_json`] writes —
+/// known episode names, a `staleness_ms` summary, and a total and
+/// per-group outcome whose `availability` and `error_rate` are numbers in
+/// `[0, 1]`. Returns the number of configuration cells found.
 pub fn validate_faults_json(json: &str) -> Result<usize, String> {
-    let (mut braces, mut brackets) = (0i64, 0i64);
-    for ch in json.chars() {
-        match ch {
-            '{' => braces += 1,
-            '}' => braces -= 1,
-            '[' => brackets += 1,
-            ']' => brackets -= 1,
-            _ => {}
-        }
-        if braces < 0 || brackets < 0 {
-            return Err("closing brace before its opener".to_string());
-        }
-    }
-    if braces != 0 || brackets != 0 {
-        return Err(format!(
-            "unbalanced document ({braces} braces, {brackets} brackets open)"
-        ));
-    }
-    if !json.starts_with("{\"suite\":\"faults\"") {
+    let doc = json::parse(json)?;
+    if doc.str_at("suite")? != "faults" {
         return Err("missing {\"suite\":\"faults\"} header".to_string());
     }
-    for key in [
-        "\"mode\":",
-        "\"seed\":",
-        "\"apps\":",
-        "\"policies\":",
-        "\"groups\":",
-        "\"staleness_ms\":",
-    ] {
-        if !json.contains(key) {
-            return Err(format!("missing key {key}"));
-        }
-    }
-    for rest in after_each(json, "\"case\":\"") {
-        let name = rest.split('"').next().unwrap_or_default();
-        if !FaultCase::all().iter().any(|c| c.name() == name) {
-            return Err(format!("unknown episode {name:?}"));
-        }
-    }
-    for key in ["\"availability\":", "\"error_rate\":"] {
-        for rest in after_each(json, key) {
-            let num = rest.split([',', '}']).next().unwrap_or_default();
-            let v: f64 = num
-                .parse()
-                .map_err(|_| format!("bad number {num:?} after {key}"))?;
-            if !(0.0..=1.0).contains(&v) {
-                return Err(format!("{key}{v} out of [0,1]"));
+    doc.str_at("mode")?;
+    doc.num_at("seed")?;
+    let mut cells = 0;
+    for app in doc.array_at("apps")? {
+        app.str_at("app")?;
+        for case in app.array_at("cases")? {
+            let name = case.str_at("case")?;
+            if !FaultCase::all().iter().any(|c| c.name() == name) {
+                return Err(format!("unknown episode {name:?}"));
+            }
+            for policy in case.array_at("policies")? {
+                policy.str_at("policy")?;
+                for cell in policy.array_at("configs")? {
+                    cell.str_at("config")?;
+                    cell.num_at("completed")?;
+                    cell.object_at("staleness_ms")?.num_at("count")?;
+                    check_rates(cell.object_at("total")?, &["availability", "error_rate"])?;
+                    for group in cell.array_at("groups")? {
+                        group.str_at("group")?;
+                        check_rates(group.object_at("outcome")?, &["availability", "error_rate"])?;
+                    }
+                    cells += 1;
+                }
             }
         }
     }
-    let cells = after_each(json, "\"config\":\"").len();
     if cells == 0 {
         return Err("no configuration cells".to_string());
     }
@@ -369,6 +329,12 @@ mod tests {
         assert!(validate_faults_json(&json[..json.len() - 3]).is_err());
         // An unknown episode name.
         let bad = json.replace("main-link-partition", "earthquake");
+        assert!(validate_faults_json(&bad).is_err());
+        // One group's error rate removed: every outcome carries both rates.
+        let groups = json.find("\"groups\":[").unwrap();
+        let at = groups + json[groups..].find(",\"error_rate\":").unwrap();
+        let end = at + 1 + json[at + 1..].find(',').unwrap();
+        let bad = format!("{}{}", &json[..at], &json[end..]);
         assert!(validate_faults_json(&bad).is_err());
     }
 

@@ -15,6 +15,7 @@ use std::time::Instant;
 
 use mutsvc_analyze::{analyze_target, check_slo_reachability, Report};
 use mutsvc_core::{AppKind, Config, Scenario};
+use mutsvc_desim::json::{self, Writer};
 use mutsvc_desim::time::SimDuration;
 use mutsvc_workload::{
     evaluate, ExperimentReport, MetricsData, MetricsSettings, SloReport, SloSpec,
@@ -190,14 +191,6 @@ pub fn run_metrics_sweep(
     (cells, OverheadSample { on_ms, off_ms })
 }
 
-fn fmt2(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:.2}")
-    } else {
-        "null".to_string()
-    }
-}
-
 /// Renders one run's window series as JSON lines — one object per window
 /// with the counter deltas, gauge samples, and per-histogram count/p50/p95
 /// summaries. Byte-stable for a given seed and thread count (and, by the
@@ -207,90 +200,57 @@ pub fn metrics_jsonl(data: &MetricsData) -> String {
     let window_s = rec.window().as_secs_f64();
     let mut out = String::new();
     for row in rec.rows() {
-        let _ = write!(
-            out,
-            "{{\"window\":{},\"end_s\":{:.1},\"counters\":{{",
-            row.index,
-            (row.index + 1) as f64 * window_s
-        );
-        for (i, name) in rec.counter_names().iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "\"{name}\":{}", row.counters[i]);
+        let mut w = Writer::new(&mut out);
+        w.begin_object().key("window").int(row.index);
+        w.key("end_s").fixed((row.index + 1) as f64 * window_s, 1);
+        w.key("counters").begin_object();
+        for (name, &v) in rec.counter_names().iter().zip(&row.counters) {
+            w.key(name).int(v);
         }
-        out.push_str("},\"gauges\":{");
-        for (i, name) in rec.gauge_names().iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "\"{name}\":{}", fmt2(row.gauges[i]));
+        w.end_object().key("gauges").begin_object();
+        for (name, &v) in rec.gauge_names().iter().zip(&row.gauges) {
+            w.key(name).fixed(v, 2);
         }
-        out.push_str("},\"hists\":{");
-        for (i, name) in rec.hist_names().iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let h = &row.hists[i];
-            let _ = write!(
-                out,
-                "\"{name}\":{{\"count\":{},\"p50_ms\":{},\"p95_ms\":{}}}",
-                h.total(),
-                fmt2(h.quantile(0.5)),
-                fmt2(h.quantile(0.95)),
-            );
+        w.end_object().key("hists").begin_object();
+        for (name, h) in rec.hist_names().iter().zip(&row.hists) {
+            w.key(name).begin_object();
+            w.key("count").int(h.total());
+            w.key("p50_ms").fixed(h.quantile(0.5), 2);
+            w.key("p95_ms").fixed(h.quantile(0.95), 2).end_object();
         }
-        out.push_str("}}\n");
+        w.end_object().end_object();
+        out.push('\n');
     }
     out
 }
 
-fn render_slo_report(out: &mut String, slo: &SloReport) {
-    let _ = write!(
-        out,
-        "\"slo\":{{\"all_met\":{},\"burn_threshold\":{},\"verdicts\":[",
-        slo.all_met(),
-        fmt2(slo.burn_threshold)
-    );
-    for (i, v) in slo.verdicts.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let threshold = v
-            .threshold_ms
-            .map_or("null".to_string(), |t| format!("{t:.0}"));
-        let _ = write!(
-            out,
-            "{{\"objective\":\"{}\",\"threshold_ms\":{threshold},\"target\":{},\
-             \"attained\":{},\"met\":{},\"max_burn\":{},\"breached_windows\":{},\
-             \"samples\":{}}}",
-            v.objective,
-            fmt2(v.target),
-            fmt2(v.attained),
-            v.met,
-            fmt2(v.max_burn),
-            v.breached_windows,
-            v.samples,
-        );
+fn write_slo_report(w: &mut Writer<'_>, slo: &SloReport) {
+    w.begin_object().key("all_met").bool(slo.all_met());
+    w.key("burn_threshold").fixed(slo.burn_threshold, 2);
+    w.key("verdicts").begin_array();
+    for v in &slo.verdicts {
+        w.begin_object().key("objective").string(&v.objective);
+        w.key("threshold_ms")
+            .fixed(v.threshold_ms.unwrap_or(f64::NAN), 0);
+        w.key("target").fixed(v.target, 2);
+        w.key("attained").fixed(v.attained, 2);
+        w.key("met").bool(v.met);
+        w.key("max_burn").fixed(v.max_burn, 2);
+        w.key("breached_windows").int(v.breached_windows);
+        w.key("samples").int(v.samples).end_object();
     }
-    out.push_str("],\"events\":[");
-    for (i, e) in slo.events.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
+    w.end_array().key("events").begin_array();
+    for e in &slo.events {
         let kind = match e.kind {
             mutsvc_workload::SloEventKind::Breach => "breach",
             mutsvc_workload::SloEventKind::Recovery => "recovery",
         };
-        let _ = write!(
-            out,
-            "{{\"window\":{},\"objective\":\"{}\",\"kind\":\"{kind}\",\"burn\":{}}}",
-            e.window,
-            e.objective,
-            fmt2(e.burn),
-        );
+        w.begin_object().key("window").int(e.window);
+        w.key("objective").string(&e.objective);
+        w.key("kind").string(kind);
+        w.key("burn").fixed(e.burn, 2).end_object();
     }
-    out.push_str("]}");
+    w.end_array().end_object();
 }
 
 /// Renders `BENCH_metrics.json`: per app, the sweep's recording-overhead
@@ -302,106 +262,86 @@ pub fn render_metrics_json(
     seed: u64,
     mode: &str,
 ) -> String {
-    let mut out = format!("{{\"seed\":{seed},\"mode\":\"{mode}\",\"apps\":[");
-    for (ai, (app, cells, overhead)) in sweeps.iter().enumerate() {
-        if ai > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "{{\"app\":\"{}\",\"overhead\":{{\"on_ms\":{},\"off_ms\":{},\"pct\":{}}},\"configs\":[",
-            app.name(),
-            fmt2(overhead.on_ms),
-            fmt2(overhead.off_ms),
-            fmt2(overhead.pct()),
-        );
-        for (ci, cell) in cells.iter().enumerate() {
-            if ci > 0 {
-                out.push(',');
-            }
+    let mut out = String::new();
+    let mut w = Writer::new(&mut out);
+    w.begin_object().key("seed").int(seed);
+    w.key("mode").string(mode);
+    w.key("apps").begin_array();
+    for (app, cells, overhead) in sweeps {
+        w.begin_object().key("app").string(app.name());
+        w.key("overhead").begin_object();
+        w.key("on_ms").fixed(overhead.on_ms, 2);
+        w.key("off_ms").fixed(overhead.off_ms, 2);
+        w.key("pct").fixed(overhead.pct(), 2).end_object();
+        w.key("configs").begin_array();
+        for cell in cells {
             let data = cell.report.metrics.as_ref().unwrap();
             let rec = &data.recorder;
-            let _ = write!(
-                out,
-                "{{\"config\":\"{}\",\"completed\":{},\"windows\":{},\"w113_warnings\":{},",
-                cell.config.name(),
-                cell.report.completed,
-                rec.rows().len(),
-                cell.w113,
-            );
-            render_slo_report(&mut out, &cell.slo);
-            out.push_str(",\"ev_totals\":{");
+            w.begin_object().key("config").string(cell.config.name());
+            w.key("completed").int(cell.report.completed);
+            w.key("windows").int(rec.rows().len() as u64);
+            w.key("w113_warnings").int(cell.w113 as u64);
+            w.key("slo");
+            write_slo_report(&mut w, &cell.slo);
+            w.key("ev_totals").begin_object();
             for (i, name) in rec.counter_names().iter().enumerate() {
-                if !name.starts_with("engine.ev.") {
-                    continue;
+                if name.starts_with("engine.ev.") {
+                    w.key(name)
+                        .int(rec.rows().iter().map(|r| r.counters[i]).sum::<u64>());
                 }
-                let total: u64 = rec.rows().iter().map(|r| r.counters[i]).sum();
-                if !out.ends_with('{') {
-                    out.push(',');
-                }
-                let _ = write!(out, "\"{name}\":{total}");
             }
-            out.push_str("},\"shards\":[");
-            for (si, p) in data.shard_profiles.iter().enumerate() {
-                if si > 0 {
-                    out.push(',');
-                }
-                let _ = write!(
-                    out,
-                    "{{\"shard\":{},\"windows\":{},\"stalled\":{},\"events\":{},\
-                     \"utilization\":{}}}",
-                    p.shard,
-                    p.windows,
-                    p.stalled,
-                    p.events,
-                    fmt2(p.utilization()),
-                );
+            w.end_object().key("shards").begin_array();
+            for p in &data.shard_profiles {
+                w.begin_object().key("shard").int(p.shard as u64);
+                w.key("windows").int(p.windows);
+                w.key("stalled").int(p.stalled);
+                w.key("events").int(p.events);
+                w.key("utilization").fixed(p.utilization(), 2).end_object();
             }
-            out.push_str("]}");
+            w.end_array().end_object();
         }
-        out.push_str("]}");
+        w.end_array().end_object();
     }
-    out.push_str("]}\n");
+    w.end_array().end_object();
+    out.push('\n');
     out
 }
 
-/// Structurally validates a `BENCH_metrics.json` document: the overhead
-/// A/B, per-config SLO verdicts, the `W113` field and at least one shard
-/// self-profile must all be present. Returns the number of configuration
-/// cells found.
-///
-/// Like the Chrome-trace validator this is a purpose-built scanner for our
-/// own renderer's output, not a general JSON parser (the vendored `serde`
-/// is a stub).
+/// Validates a `BENCH_metrics.json` document: well-formed JSON with a
+/// `seed`, a `mode` and per app the overhead A/B (`on_ms`, `off_ms`,
+/// `pct`), and per configuration cell the `W113` field, an SLO grade with
+/// `all_met` and `verdicts`, the `ev_totals` map and the shard
+/// self-profiles, each naming its `shard`; at least one shard self-profile
+/// must be present. Returns the number of configuration cells found.
 pub fn validate_metrics_json(json: &str) -> Result<usize, String> {
-    if !json.trim_end().ends_with("]}") {
-        return Err("document does not close the apps array".into());
-    }
-    for key in ["\"overhead\":", "\"on_ms\":", "\"off_ms\":", "\"pct\":"] {
-        if !json.contains(key) {
-            return Err(format!("missing overhead field {key}"));
+    let doc = json::parse(json)?;
+    doc.num_at("seed")?;
+    doc.str_at("mode")?;
+    let (mut cells, mut shards) = (0, 0);
+    for app in doc.array_at("apps")? {
+        app.str_at("app")?;
+        let overhead = app.object_at("overhead")?;
+        for key in ["on_ms", "off_ms", "pct"] {
+            overhead.num_at(key)?;
+        }
+        for cell in app.array_at("configs")? {
+            cell.str_at("config")?;
+            cell.num_at("w113_warnings")?;
+            let slo = cell.object_at("slo")?;
+            slo.bool_at("all_met")?;
+            slo.array_at("verdicts")?;
+            cell.object_at("ev_totals")?;
+            for shard in cell.array_at("shards")? {
+                shard.num_at("shard")?;
+                shards += 1;
+            }
+            cells += 1;
         }
     }
-    let cells = json.matches("\"config\":").count();
     if cells == 0 {
         return Err("no configuration cells".into());
     }
-    for key in [
-        "\"slo\":",
-        "\"verdicts\":",
-        "\"all_met\":",
-        "\"w113_warnings\":",
-        "\"ev_totals\":",
-        "\"shards\":",
-    ] {
-        if json.matches(key).count() != cells {
-            return Err(format!(
-                "expected {cells} {key} fields, found {}",
-                json.matches(key).count()
-            ));
-        }
-    }
-    if !json.contains("\"shard\":") {
+    if shards == 0 {
         return Err("no shard self-profiles recorded".into());
     }
     Ok(cells)
@@ -523,6 +463,10 @@ mod tests {
         );
         assert_eq!(cell.slo, again[0].slo);
 
+        for line in jsonl.lines() {
+            let window = json::parse(line).expect("window log line parses");
+            window.object_at("counters").unwrap();
+        }
         let json = render_metrics_json(&[(AppKind::PetStore, cells, overhead)], 7, "smoke");
         assert_eq!(validate_metrics_json(&json), Ok(1), "{json}");
     }

@@ -17,6 +17,7 @@
 use std::time::Instant;
 
 use mutsvc_core::{multi_tier_topology, paper_topology, MultiTierSpec};
+use mutsvc_desim::json;
 use mutsvc_desim::rng::SimRng;
 use mutsvc_placement::derive::{petstore_problem, rubis_problem};
 use mutsvc_placement::graph::{HostId, Placement, PlacementProblem};
@@ -265,25 +266,25 @@ pub fn measure_placement_ladder(
     cells
 }
 
-/// Renders the cells as the `BENCH_placement.json` document. Hand-formatted
-/// (the vendored serde is a no-op stand-in); schema per entry:
-/// `{"algorithm", "graph", "hosts", "links", "components", "moves_per_sec",
-/// "final_cost", "build_ms", "table_bytes"}` plus a per-graph `"speedup"`
-/// summary map.
+/// Renders the cells as the `BENCH_placement.json` document: one entry per
+/// line with `": "` spacing, strings and numbers from [`json`]. Schema per
+/// entry: `{"algorithm", "graph", "hosts", "links", "components",
+/// "moves_per_sec", "final_cost", "build_ms", "table_bytes"}` plus a
+/// per-graph `"speedup"` summary map.
 pub fn render_placement_json(cells: &[PlacementThroughput]) -> String {
     let mut out = String::from("{\n  \"entries\": [\n");
     for (i, cell) in cells.iter().enumerate() {
         let comma = if i + 1 < cells.len() { "," } else { "" };
         out.push_str(&format!(
-            "    {{\"algorithm\": \"{}\", \"graph\": \"{}\", \"hosts\": {}, \"links\": {}, \"components\": {}, \"moves_per_sec\": {:.1}, \"final_cost\": {:.6}, \"build_ms\": {:.3}, \"table_bytes\": {}}}{comma}\n",
-            cell.algorithm,
-            cell.graph,
+            "    {{\"algorithm\": {}, \"graph\": {}, \"hosts\": {}, \"links\": {}, \"components\": {}, \"moves_per_sec\": {}, \"final_cost\": {}, \"build_ms\": {}, \"table_bytes\": {}}}{comma}\n",
+            json::quote(cell.algorithm),
+            json::quote(&cell.graph),
             cell.hosts,
             cell.links,
             cell.components,
-            cell.moves_per_sec,
-            cell.final_cost,
-            cell.build_ms,
+            json::fixed(cell.moves_per_sec, 1),
+            json::fixed(cell.final_cost, 6),
+            json::fixed(cell.build_ms, 3),
             cell.table_bytes
         ));
     }
@@ -306,8 +307,9 @@ pub fn render_placement_json(cells: &[PlacementThroughput]) -> String {
         };
         let comma = if i + 1 < graphs.len() { "," } else { "" };
         out.push_str(&format!(
-            "\"{graph}\": {:.1}{comma}",
-            rate("incremental") / rate("full_recompute")
+            "{}: {}{comma}",
+            json::quote(graph),
+            json::fixed(rate("incremental") / rate("full_recompute"), 1)
         ));
     }
     out.push_str("}\n}\n");
@@ -347,11 +349,8 @@ mod tests {
         assert!(json.contains("\"hosts\": 3"));
         assert!(json.contains("\"links\": 10"));
         assert!(json.contains("\"table_bytes\": 512"));
-        assert_eq!(json.matches("\"algorithm\"").count(), 2);
-        // Balanced braces/brackets — cheap well-formedness check without a
-        // JSON parser in the workspace.
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
+        let doc = json::parse(&json).expect("well-formed JSON");
+        assert_eq!(doc.array_at("entries").map(<[_]>::len), Ok(2));
     }
 
     #[test]

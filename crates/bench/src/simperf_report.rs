@@ -26,6 +26,7 @@
 use std::time::Instant;
 
 use mutsvc_core::{fanout_input, AppKind, Config, Scenario};
+use mutsvc_desim::json;
 use mutsvc_desim::time::SimDuration;
 use mutsvc_workload::{run_experiment, run_experiment_parallel, ExperimentReport};
 
@@ -266,11 +267,11 @@ pub fn parallel_scaling_at(cells: &[SimperfCell], app: &str, threads: usize) -> 
     rate(threads) / rate(1)
 }
 
-/// Renders the cells as the `BENCH_simperf.json` document. Hand-formatted
-/// (the vendored serde is a no-op stand-in); schema per entry:
-/// `{"app", "config", "load_factor", "bind_cache", "threads", "wall_secs",
-/// "completed", "requests_per_sec", "events_per_sec", "hit_rate",
-/// "shard_events"}` (`threads` 0 = classic sequential engine),
+/// Renders the cells as the `BENCH_simperf.json` document: one entry per
+/// line with `": "` spacing, strings and numbers from [`json`]. Schema per
+/// entry: `{"app", "config", "load_factor", "bind_cache", "threads",
+/// "wall_secs", "completed", "requests_per_sec", "events_per_sec",
+/// "hit_rate", "shard_events"}` (`threads` 0 = classic sequential engine),
 /// plus a top-level `"cores"` (the machine's available parallelism — the
 /// honest context for any scaling ratio), a `"speedup"` map of
 /// `app_factor` → cached/uncached requests/s over the sequential rows, and
@@ -282,21 +283,21 @@ pub fn render_simperf_json(cells: &[SimperfCell], cores: usize) -> String {
         let comma = if i + 1 < cells.len() { "," } else { "" };
         let shards: Vec<String> = c.shard_events.iter().map(u64::to_string).collect();
         out.push_str(&format!(
-            "    {{\"app\": \"{}\", \"config\": \"{}\", \"load_factor\": {}, \
-             \"bind_cache\": {}, \"threads\": {}, \"wall_secs\": {:.3}, \
-             \"completed\": {}, \"requests_per_sec\": {:.1}, \
-             \"events_per_sec\": {:.1}, \"hit_rate\": {:.4}, \
+            "    {{\"app\": {}, \"config\": {}, \"load_factor\": {}, \
+             \"bind_cache\": {}, \"threads\": {}, \"wall_secs\": {}, \
+             \"completed\": {}, \"requests_per_sec\": {}, \
+             \"events_per_sec\": {}, \"hit_rate\": {}, \
              \"shard_events\": [{}]}}{comma}\n",
-            c.app,
-            c.config,
+            json::quote(c.app),
+            json::quote(c.config),
             c.load_factor,
             c.bind_cache,
             c.threads,
-            c.wall_secs,
+            json::fixed(c.wall_secs, 3),
             c.completed,
-            c.requests_per_sec,
-            c.events_per_sec,
-            c.hit_rate,
+            json::fixed(c.requests_per_sec, 1),
+            json::fixed(c.events_per_sec, 1),
+            json::fixed(c.hit_rate, 4),
             shards.join(", ")
         ));
     }
@@ -310,8 +311,9 @@ pub fn render_simperf_json(cells: &[SimperfCell], cores: usize) -> String {
     for (i, (app, factor)) in pairs.iter().enumerate() {
         let comma = if i + 1 < pairs.len() { "," } else { "" };
         out.push_str(&format!(
-            "\"{app}_{factor}x\": {:.2}{comma}",
-            speedup_at(cells, app, *factor)
+            "{}: {}{comma}",
+            json::quote(&format!("{app}_{factor}x")),
+            json::fixed(speedup_at(cells, app, *factor), 2)
         ));
     }
     out.push_str("},\n  \"parallel_scaling\": {");
@@ -324,8 +326,9 @@ pub fn render_simperf_json(cells: &[SimperfCell], cores: usize) -> String {
     for (i, (app, threads)) in pairs.iter().enumerate() {
         let comma = if i + 1 < pairs.len() { "," } else { "" };
         out.push_str(&format!(
-            "\"{app}_{threads}t\": {:.2}{comma}",
-            parallel_scaling_at(cells, app, *threads)
+            "{}: {}{comma}",
+            json::quote(&format!("{app}_{threads}t")),
+            json::fixed(parallel_scaling_at(cells, app, *threads), 2)
         ));
     }
     out.push_str("}\n}\n");
@@ -364,8 +367,7 @@ mod tests {
         assert!(json.contains("\"cores\": 8"));
         assert!(json.contains("\"rubis_10x\": 8.00"));
         assert!(json.contains("\"threads\": 0"));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
+        assert!(json::parse(&json).is_ok(), "{json}");
     }
 
     #[test]
@@ -385,8 +387,7 @@ mod tests {
             !json.contains("\"rubis_1t\""),
             "1t is the baseline, not a ratio"
         );
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
+        assert!(json::parse(&json).is_ok(), "{json}");
     }
 
     #[test]

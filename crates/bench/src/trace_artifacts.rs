@@ -10,6 +10,7 @@
 
 use mutsvc_analyze::{analyze_target, cross_check_traced_wan, Report};
 use mutsvc_core::{AppKind, Config, Scenario};
+use mutsvc_desim::json::{self, Writer};
 use mutsvc_desim::time::SimDuration;
 use mutsvc_workload::{
     page_breakdown, telemetry_json, ExperimentReport, PageTraceRow, TraceSettings,
@@ -112,72 +113,50 @@ pub fn run_traced_sweep(
         .collect()
 }
 
-fn fmt2(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:.2}")
-    } else {
-        "null".to_string()
-    }
-}
-
 /// Renders `BENCH_trace.json`: per app × configuration, the per-page
 /// critical-path decomposition (with the static walker's WAN count where
 /// one exists), trace accounting, `W108` results and the telemetry series.
 pub fn render_trace_json(sweeps: &[(AppKind, Vec<TraceCell>)]) -> String {
-    let mut out = String::from("{\"apps\":[");
-    for (ai, (app, cells)) in sweeps.iter().enumerate() {
-        if ai > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!("{{\"app\":\"{}\",\"configs\":[", app.name()));
-        for (ci, cell) in cells.iter().enumerate() {
-            if ci > 0 {
-                out.push(',');
-            }
+    let mut out = String::new();
+    let mut w = Writer::new(&mut out);
+    w.begin_object().key("apps").begin_array();
+    for (app, cells) in sweeps {
+        w.begin_object().key("app").string(app.name());
+        w.key("configs").begin_array();
+        for cell in cells {
             let data = cell.report.trace.as_ref().unwrap();
-            out.push_str(&format!(
-                "{{\"config\":\"{}\",\"completed\":{},\"traces\":{},\"w108_warnings\":{},\"pages\":[",
-                cell.config.name(),
-                cell.report.completed,
-                data.traces.len(),
-                cell.w108,
-            ));
-            for (ri, row) in cell.rows.iter().enumerate() {
-                if ri > 0 {
-                    out.push(',');
-                }
-                let static_rts = cell
-                    .static_report
-                    .pages
-                    .iter()
-                    .find(|p| p.page == row.page)
-                    .map_or("null".to_string(), |p| p.wan_round_trips.to_string());
-                out.push_str(&format!(
-                    "{{\"group\":\"{}\",\"page\":\"{}\",\"count\":{},\"mean_ms\":{},\
-                     \"wan_rts_logical\":{},\"wan_rts_critical\":{},\"static_wan_rts\":{static_rts},\
-                     \"wan_propagation_ms\":{},\"serialization_ms\":{},\"queueing_ms\":{},\
-                     \"service_ms\":{},\"db_ms\":{},\"delay_ms\":{}}}",
-                    row.group,
-                    row.page,
-                    row.count,
-                    fmt2(row.mean_ms),
-                    fmt2(row.wan_rts_logical),
-                    fmt2(row.wan_rts_critical),
-                    fmt2(row.wan_propagation_ms),
-                    fmt2(row.serialization_ms),
-                    fmt2(row.queueing_ms),
-                    fmt2(row.service_ms),
-                    fmt2(row.db_ms),
-                    fmt2(row.delay_ms),
-                ));
+            w.begin_object().key("config").string(cell.config.name());
+            w.key("completed").int(cell.report.completed);
+            w.key("traces").int(data.traces.len() as u64);
+            w.key("w108_warnings").int(cell.w108 as u64);
+            w.key("pages").begin_array();
+            for row in &cell.rows {
+                w.begin_object().key("group").string(&row.group);
+                w.key("page").string(row.page);
+                w.key("count").int(row.count);
+                w.key("mean_ms").fixed(row.mean_ms, 2);
+                w.key("wan_rts_logical").fixed(row.wan_rts_logical, 2);
+                w.key("wan_rts_critical").fixed(row.wan_rts_critical, 2);
+                w.key("static_wan_rts");
+                match cell.static_report.pages.iter().find(|p| p.page == row.page) {
+                    Some(p) => w.int(p.wan_round_trips),
+                    None => w.null(),
+                };
+                w.key("wan_propagation_ms").fixed(row.wan_propagation_ms, 2);
+                w.key("serialization_ms").fixed(row.serialization_ms, 2);
+                w.key("queueing_ms").fixed(row.queueing_ms, 2);
+                w.key("service_ms").fixed(row.service_ms, 2);
+                w.key("db_ms").fixed(row.db_ms, 2);
+                w.key("delay_ms").fixed(row.delay_ms, 2).end_object();
             }
-            out.push_str("],\"telemetry\":");
-            telemetry_json(data, &mut out);
-            out.push('}');
+            w.end_array().key("telemetry");
+            telemetry_json(data, &mut w);
+            w.end_object();
         }
-        out.push_str("]}");
+        w.end_array().end_object();
     }
-    out.push_str("]}\n");
+    w.end_array().end_object();
+    out.push('\n');
     out
 }
 
@@ -235,63 +214,44 @@ pub fn render_wan_rt_table(app: AppKind, cells: &[TraceCell]) -> String {
     out
 }
 
-/// Structurally validates a Chrome `trace_event` JSON document produced by
-/// [`mutsvc_workload::chrome_trace_json`]: every duration event carries
-/// `ts`, and each lane's `B`/`E` events are balanced and properly nested
-/// (matched by name, LIFO). Returns the number of `B`/`E` pairs checked.
-///
-/// This is a purpose-built scanner for our own single-event-per-line
-/// output, not a general JSON parser (the vendored `serde` is a stub).
+/// Validates a Chrome `trace_event` JSON document produced by
+/// [`mutsvc_workload::chrome_trace_json`]: well-formed JSON with a
+/// `traceEvents` array of events with a known `ph`, every instant and
+/// duration event carrying `ts`, and each lane's `B`/`E` events balanced
+/// and properly nested (matched by name, LIFO). Returns the number of
+/// `B`/`E` pairs checked.
 pub fn validate_chrome_trace(json: &str) -> Result<usize, String> {
-    use std::collections::HashMap;
-    fn field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-        let pat = format!("\"{key}\":");
-        let start = line.find(&pat)? + pat.len();
-        let rest = &line[start..];
-        let end = rest.find([',', '}']).ok_or(()).ok()?;
-        Some(rest[..end].trim_matches('"'))
-    }
-    if !json.trim_end().ends_with("]}") {
-        return Err("document does not close the traceEvents array".into());
-    }
-    let mut stacks: HashMap<String, Vec<String>> = HashMap::new();
+    let doc = json::parse(json)?;
+    let mut stacks: std::collections::HashMap<u64, Vec<&str>> = Default::default();
     let mut pairs = 0usize;
-    for line in json.lines() {
-        let line = line.trim_start_matches(',');
-        let Some(ph) = field(line, "ph") else {
+    for (i, event) in doc.array_at("traceEvents")?.iter().enumerate() {
+        let at = |e: String| format!("event {i}: {e}");
+        let ph = event.str_at("ph").map_err(at)?;
+        if ph == "M" {
             continue;
-        };
-        match ph {
-            "M" => {}
-            "i" | "B" | "E" => {
-                if field(line, "ts").is_none() {
-                    return Err(format!("event without ts: {line}"));
-                }
-                if ph == "i" {
-                    continue;
-                }
-                let tid = field(line, "tid").ok_or_else(|| format!("no tid: {line}"))?;
-                let name = field(line, "name").unwrap_or_default().to_string();
-                let stack = stacks.entry(tid.to_string()).or_default();
-                if ph == "B" {
-                    stack.push(name);
-                } else {
-                    match stack.pop() {
-                        Some(open) if open == name => pairs += 1,
-                        Some(open) => {
-                            return Err(format!("E \"{name}\" closes B \"{open}\" on tid {tid}"))
-                        }
-                        None => return Err(format!("E \"{name}\" with empty stack on tid {tid}")),
-                    }
-                }
-            }
-            other => return Err(format!("unknown ph {other:?}")),
+        }
+        if !matches!(ph, "i" | "B" | "E") {
+            return Err(format!("unknown ph {ph:?}"));
+        }
+        event.num_at("ts").map_err(at)?;
+        if ph == "i" {
+            continue;
+        }
+        let tid = event.num_at("tid").map_err(at)? as u64;
+        let name = event.str_at("name").map_err(at)?;
+        let stack = stacks.entry(tid).or_default();
+        if ph == "B" {
+            stack.push(name);
+            continue;
+        }
+        match stack.pop() {
+            Some(open) if open == name => pairs += 1,
+            Some(open) => return Err(format!("E \"{name}\" closes B \"{open}\" on tid {tid}")),
+            None => return Err(format!("E \"{name}\" with empty stack on tid {tid}")),
         }
     }
-    for (tid, stack) in &stacks {
-        if !stack.is_empty() {
-            return Err(format!("tid {tid} left {} span(s) open", stack.len()));
-        }
+    if let Some((tid, stack)) = stacks.iter().find(|(_, s)| !s.is_empty()) {
+        return Err(format!("tid {tid} left {} span(s) open", stack.len()));
     }
     if pairs == 0 {
         return Err("no B/E pairs found".into());

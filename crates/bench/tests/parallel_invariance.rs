@@ -9,7 +9,7 @@
 //! threads.
 
 use mutsvc_bench::adaptive_artifacts::{
-    adaptive_cell_json, suite_cadence, suite_windows, AdaptiveCell,
+    suite_cadence, suite_windows, write_adaptive_cell, AdaptiveCell,
 };
 use mutsvc_bench::fault_artifacts::{fault_scenario, render_faults_json, validate_faults_json};
 use mutsvc_bench::metrics_artifacts::{default_slo, metrics_jsonl};
@@ -18,6 +18,7 @@ use mutsvc_core::{
     adaptive_episode_input, multi_tier_input, AdaptiveEpisode, AppKind, Config, FaultCase,
     MultiTierSpec,
 };
+use mutsvc_desim::json;
 use mutsvc_desim::time::SimDuration;
 use mutsvc_workload::{
     evaluate, jsonl, run_experiment_parallel, AdaptiveSettings, FaultPolicy, MetricsSettings,
@@ -268,7 +269,8 @@ fn flash_crowd_adaptive_at(
         report,
         slo,
     };
-    let fragment = adaptive_cell_json(&cell);
+    let mut fragment = String::new();
+    write_adaptive_cell(&mut json::Writer::new(&mut fragment), &cell);
     (log, fragment, cell.report)
 }
 

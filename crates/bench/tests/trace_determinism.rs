@@ -8,16 +8,23 @@
 use mutsvc_bench::run_scenarios_parallel;
 use mutsvc_bench::trace_artifacts::{run_traced_sweep, traced_scenario, validate_chrome_trace};
 use mutsvc_core::{AppKind, Config};
+use mutsvc_desim::json;
 use mutsvc_workload::{chrome_trace_json, jsonl};
 
+/// A traced smoke run's span log, every line checked to parse as a span.
 fn smoke_jsonl(app: AppKind, config: Config, seed: u64) -> String {
     let report = traced_scenario(app, config, true, true, seed).run();
-    jsonl(
+    let log = jsonl(
         report
             .trace
             .as_ref()
             .expect("traced run must carry trace data"),
-    )
+    );
+    for line in log.lines() {
+        let span = json::parse(line).unwrap_or_else(|e| panic!("{e}: {line}"));
+        span.str_at("kind").unwrap();
+    }
+    log
 }
 
 #[test]
@@ -60,6 +67,8 @@ fn chrome_exports_validate_for_every_configuration() {
     for config in Config::all() {
         let report = traced_scenario(AppKind::PetStore, config, true, true, 3).run();
         let chrome = chrome_trace_json(report.trace.as_ref().unwrap(), 10);
+        let doc = json::parse(&chrome).expect("Chrome trace parses");
+        assert_eq!(doc.str_at("displayTimeUnit"), Ok("ms"));
         let pairs = validate_chrome_trace(&chrome)
             .unwrap_or_else(|e| panic!("{} chrome trace invalid: {e}", config.name()));
         assert!(pairs > 0, "{} exported no spans", config.name());

@@ -9,7 +9,6 @@ use mutsvc_workload::{
     ExperimentInput, ExperimentReport, FaultPolicy, FaultSettings, MetricsSettings, SloSpec,
     TraceSettings, WorkloadSpec,
 };
-use serde::{Deserialize, Serialize};
 
 use crate::configs::{
     petstore_adaptive_baseline, petstore_descriptor, petstore_descriptor_on,
@@ -21,7 +20,7 @@ use crate::topology::{
 };
 
 /// Which application a scenario drives.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AppKind {
     /// Java Pet Store.
     PetStore,
@@ -45,7 +44,7 @@ impl AppKind {
 }
 
 /// One experiment: an application under one configuration at the paper's load.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Scenario {
     /// The application.
     pub app: AppKind,
@@ -62,36 +61,29 @@ pub struct Scenario {
     /// RMI extra-round-trip probability override (ablation).
     pub rmi_extra_round_trip_prob: Option<f64>,
     /// Tracing and telemetry policy (off by default).
-    #[serde(default)]
     pub trace: TraceSettings,
     /// Windowed metrics recorder policy (off by default).
-    #[serde(default)]
     pub metrics: MetricsSettings,
     /// Service-level objectives graded against the metrics windows by
     /// [`mutsvc_workload::evaluate`]. Carried on the scenario so report
     /// generators and the static analyzer see the same objectives.
-    #[serde(default)]
     pub slo: Option<SloSpec>,
     /// Fault schedule, timeout and recovery policy (off by default).
-    #[serde(default)]
     pub faults: FaultSettings,
     /// A standard-suite episode scripted at build time against the built
     /// topology (it needs link/node indices, which only exist then). When
     /// set, it replaces `faults.schedule`.
-    #[serde(default)]
     pub fault_case: Option<FaultCase>,
     /// Closed-loop adaptive placement policy (off by default): with the
     /// controller armed, a run folds observed telemetry into re-priced
     /// placement problems and commits live migrations (DESIGN.md §6.8).
     /// Requires an active [`MetricsSettings`] window.
-    #[serde(default)]
     pub adaptive: AdaptiveSettings,
     /// Run on the conservative-parallel engine with up to this many OS
     /// threads, sharded by client region (DESIGN.md §6.5). `None` (the
     /// default) keeps the classic sequential engine. The parallel result
     /// is byte-identical at every thread count, but draws from per-shard
     /// RNG streams, so it is not bit-comparable to a sequential run.
-    #[serde(default)]
     pub parallel: Option<usize>,
 }
 

@@ -27,7 +27,6 @@ use mutsvc_desim::fault::{FaultEvent, FaultKind, FaultSchedule};
 use mutsvc_desim::time::SimDuration;
 use mutsvc_netsim::{LinkId, NodeId, Topology, WAN_LATENCY_THRESHOLD};
 use mutsvc_workload::Surge;
-use serde::{Deserialize, Serialize};
 
 use crate::topology::PaperNodes;
 
@@ -35,7 +34,7 @@ use crate::topology::PaperNodes;
 pub const LOSSY_LINK_PROBABILITY: f64 = 0.05;
 
 /// One canonical failure episode of the standard suite.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FaultCase {
     /// The edge-1 WAN leg partitions in both directions.
     MainLinkPartition,
@@ -265,7 +264,7 @@ pub const FLASH_CROWD_FACTOR: f64 = 4.0;
 /// Episodes script *drift*, not destruction: links slow down or demand
 /// moves, but nothing partitions, so controller-off runs stay comparable
 /// and any availability delta is attributable to adaptation alone.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AdaptiveEpisode {
     /// Nothing changes. The controller must commit zero migrations and
     /// leave the run byte-identical to a controller-off run's statistics.

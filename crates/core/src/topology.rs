@@ -8,7 +8,6 @@
 
 use mutsvc_desim::time::SimDuration;
 use mutsvc_netsim::{NodeId, Topology, TopologyBuilder};
-use serde::{Deserialize, Serialize};
 
 /// One-way WAN latency (§3.1: "100 ms latency each way").
 pub const WAN_ONE_WAY: SimDuration = SimDuration::from_millis(100);
@@ -18,7 +17,7 @@ pub const LAN_ONE_WAY: SimDuration = SimDuration::from_micros(200);
 pub const LINK_BANDWIDTH_BPS: f64 = 100e6;
 
 /// Node handles of the paper topology.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PaperNodes {
     /// Main application server (dual-CPU workstation).
     pub main: NodeId,

@@ -21,14 +21,12 @@
 //!   nothing is drawn, and a fault-off run is bit-identical to a build
 //!   without the subsystem.
 
-use serde::{Deserialize, Serialize};
-
 use crate::rng::SimRng;
 use crate::time::SimDuration;
 
 /// One kind of injected fault. Targets are dense indices into the owning
 /// world's topology (directed links, nodes).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum FaultKind {
     /// A directed link stops delivering messages.
     LinkDown {
@@ -88,7 +86,7 @@ impl FaultKind {
 }
 
 /// One scheduled fault: a kind applied at an offset from simulation start.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultEvent {
     /// When the fault fires, as an offset from simulation start.
     pub at: SimDuration,
@@ -101,7 +99,7 @@ pub struct FaultEvent {
 /// Construct scripted schedules with [`FaultSchedule::scripted`] (events are
 /// sorted for you, ties keep insertion order) or random ones with
 /// [`FaultSchedule::random`]. The default schedule is empty.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct FaultSchedule {
     /// Events in non-decreasing `at` order.
     pub events: Vec<FaultEvent>,
@@ -109,7 +107,7 @@ pub struct FaultSchedule {
 
 /// Parameters for [`FaultSchedule::random`]: independent outage episodes on
 /// a set of candidate links and nodes.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RandomFaults {
     /// Number of episodes to draw.
     pub episodes: usize,

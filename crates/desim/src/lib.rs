@@ -9,7 +9,9 @@
 //! * seeded, stream-splittable randomness ([`rng`]),
 //! * streaming [`metrics`] (Welford moments; [`Summary`] adds a distribution),
 //! * windowed time-series [`recorder`]s over exactly-mergeable log-bucketed
-//!   histograms — the workspace's one distribution type and one registry.
+//!   histograms — the workspace's one distribution type and one registry,
+//! * the workspace's one [`json`] codec (a streaming writer and an RFC 8259
+//!   parser) that every artifact is written and validated with.
 //!
 //! Higher layers (network, middleware, applications) are worlds `W` plugged
 //! into [`Simulation<W, E>`], each with its own event enum `E`.
@@ -58,6 +60,7 @@
 #![warn(missing_docs)]
 
 pub mod fault;
+pub mod json;
 pub mod metrics;
 pub mod recorder;
 pub mod resource;

@@ -5,8 +5,6 @@
 //! constant memory; [`Summary`] pairs it with a [`LogHistogram`] for
 //! quantiles, so one response-time series merges exactly across shards.
 
-use serde::{Deserialize, Serialize};
-
 use crate::recorder::LogHistogram;
 use crate::time::SimDuration;
 
@@ -61,7 +59,7 @@ pub fn pooled_max(values: impl IntoIterator<Item = f64>) -> Option<f64> {
 /// assert_eq!(w.mean(), 4.0);
 /// assert_eq!(w.variance(), 4.0); // sample variance
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Welford {
     count: u64,
     mean: f64,
@@ -186,7 +184,7 @@ impl Welford {
 /// assert_eq!(a.mean(), 200.0);
 /// assert!(a.quantile(1.0) >= 300.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Summary {
     welford: Welford,
     hist: LogHistogram,

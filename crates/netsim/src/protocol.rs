@@ -12,15 +12,13 @@
 //! These builders return [`Step`] fragments that higher layers splice around
 //! CPU work.
 
-use serde::{Deserialize, Serialize};
-
 use mutsvc_desim::rng::SimRng;
 
 use crate::job::Step;
 use crate::topology::NodeId;
 
 /// Byte sizes and overhead probabilities for the wire protocols.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ProtocolParams {
     /// TCP control segment size (SYN / SYN-ACK).
     pub tcp_segment_bytes: u64,

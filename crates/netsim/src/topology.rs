@@ -6,8 +6,6 @@
 //! [`Topology::finalize`] computes all-pairs latency-shortest routes once so
 //! that the hot transfer path is a plain slice lookup.
 
-use serde::{Deserialize, Serialize};
-
 use mutsvc_desim::time::SimDuration;
 
 /// One-way latency above which a link counts as wide-area.
@@ -22,7 +20,7 @@ use mutsvc_desim::time::SimDuration;
 pub const WAN_LATENCY_THRESHOLD: SimDuration = SimDuration::from_millis(20);
 
 /// Identifies a node (host) in the topology.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NodeId(pub(crate) usize);
 
 impl NodeId {
@@ -39,7 +37,7 @@ impl std::fmt::Display for NodeId {
 }
 
 /// Identifies a directed link.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct LinkId(pub(crate) usize);
 
 impl LinkId {
@@ -50,7 +48,7 @@ impl LinkId {
 }
 
 /// Static description of a host.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct NodeSpec {
     /// Human-readable name ("main", "edge1", …).
     pub name: String,
@@ -61,7 +59,7 @@ pub struct NodeSpec {
 }
 
 /// Static description of one direction of a link.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct LinkSpec {
     /// Human-readable name ("main->router", …).
     pub name: String,

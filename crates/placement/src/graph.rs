@@ -10,10 +10,9 @@
 use std::collections::BTreeSet;
 
 use petgraph::graph::{DiGraph, NodeIndex};
-use serde::{Deserialize, Serialize};
 
 /// Identifies a host in a [`PlacementProblem`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct HostId(pub usize);
 
 impl std::fmt::Display for HostId {
@@ -23,7 +22,7 @@ impl std::fmt::Display for HostId {
 }
 
 /// A candidate host.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Host {
     /// Host name ("main", "edge1", …).
     pub name: String,
@@ -36,7 +35,7 @@ pub struct Host {
 }
 
 /// The role of a component in placement decisions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Role {
     /// Client-facing entry tier: implicitly present at every entry host.
     Entry,
@@ -62,7 +61,7 @@ impl Role {
 }
 
 /// A component vertex.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Component {
     /// Component name.
     pub name: String,
@@ -78,7 +77,7 @@ pub struct Component {
 }
 
 /// A weighted interaction edge (caller → callee).
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct Interaction {
     /// Invocations per second (aggregated over the whole workload).
     pub calls_per_sec: f64,
@@ -203,7 +202,7 @@ pub struct PlacementProblem {
 }
 
 /// Wide-area communication cost parameters.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CostParams {
     /// Mean round trips per remote invocation (RMI chattiness; the paper's
     /// stacks measure ≈1.65 and ≈1.35).

@@ -2,12 +2,10 @@
 
 use std::collections::HashMap;
 
-use serde::{Deserialize, Serialize};
-
 use crate::value::{RowId, Value};
 
 /// Identifies a table within a [`Database`](crate::database::Database).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TableId(pub(crate) usize);
 
 impl TableId {
@@ -18,7 +16,7 @@ impl TableId {
 }
 
 /// Column description.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ColumnDef {
     /// Column name.
     pub name: String,

@@ -2137,7 +2137,10 @@ mod tests {
         assert!(last.gauges[completed_idx] > 0.0);
         // Row i renders at (i+1)·telemetry_every.
         let mut json = String::new();
-        telemetry_json(&data, &mut json);
+        telemetry_json(&data, &mut mutsvc_desim::json::Writer::new(&mut json));
+        let doc = mutsvc_desim::json::parse(&json).unwrap();
+        assert_eq!(doc.array_at("snapshots").unwrap().len(), 30);
+        // The rendered text, not just the parsed value: one decimal each.
         let at_s: Vec<&str> = json
             .split("\"at_s\":")
             .skip(1)

@@ -1,7 +1,5 @@
 //! Workload specification: client groups, rates and soft delays (§3.3).
 
-use serde::{Deserialize, Serialize};
-
 use mutsvc_desim::fault::FaultSchedule;
 use mutsvc_desim::time::{SimDuration, SimTime};
 use mutsvc_desim::trace::TraceConfig;
@@ -11,7 +9,7 @@ use mutsvc_netsim::NodeId;
 /// the driver then never allocates a tracer buffer, never schedules the
 /// telemetry cadence event, and each instrumentation site costs a single
 /// branch (verified by the `--simperf` hot-path bench).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TraceSettings {
     /// Master switch for span collection.
     pub enabled: bool,
@@ -69,18 +67,12 @@ impl TraceSettings {
     }
 }
 
-impl Default for TraceSettings {
-    fn default() -> Self {
-        TraceSettings::off()
-    }
-}
-
 /// Windowed metrics policy for one run. Fully disabled by default: the
 /// driver then never builds a [`mutsvc_desim::Recorder`], never schedules
 /// the roll-cadence event, and each instrumentation site costs a single
 /// branch — the same zero-cost-when-off contract as [`TraceSettings`],
 /// pinned by the metrics-on/off parity test.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MetricsSettings {
     /// Master switch for the windowed recorder.
     pub enabled: bool,
@@ -112,12 +104,6 @@ impl MetricsSettings {
     }
 }
 
-impl Default for MetricsSettings {
-    fn default() -> Self {
-        MetricsSettings::off()
-    }
-}
-
 /// Closed-loop adaptive placement policy for one run (DESIGN.md §6.8).
 /// Fully disabled by default: the driver then never builds a controller,
 /// never schedules the controller tick, and each instrumentation site costs
@@ -127,7 +113,7 @@ impl Default for MetricsSettings {
 /// The controller only observes *windowed metrics* rows, so an active
 /// adaptive policy requires an active [`MetricsSettings`] whose window it
 /// adopts as its observation granularity.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AdaptiveSettings {
     /// Master switch for the live-migration controller.
     pub enabled: bool,
@@ -181,18 +167,12 @@ impl AdaptiveSettings {
     }
 }
 
-impl Default for AdaptiveSettings {
-    fn default() -> Self {
-        AdaptiveSettings::off()
-    }
-}
-
 /// One scheduled load surge: a client group's offered rates scale by
 /// `factor` over `[from, to)` (offsets from simulation start). The surge
 /// sessions draw from their own RNG stream
 /// ([`stream::SURGES`](mutsvc_desim::rng::stream::SURGES)), so an empty
 /// surge list leaves a run byte-identical to a pre-surge build.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Surge {
     /// Name of the client group whose load surges.
     pub group: String,
@@ -210,7 +190,7 @@ pub struct Surge {
 /// All knobs are deterministic: backoff is computed from the attempt count
 /// in simulated time (no wall clock), and failover re-targets requests by
 /// descriptor, never by sampling.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultPolicy {
     /// Retries after the first failed attempt (`0` fails immediately).
     pub max_retries: u32,
@@ -260,31 +240,18 @@ impl FaultPolicy {
     }
 }
 
-impl Default for FaultPolicy {
-    fn default() -> Self {
-        FaultPolicy::none()
-    }
-}
-
 /// Fault injection for one run: the scripted timeline plus the stack's
 /// reaction policy. Default is fully off — an empty schedule adds zero
 /// events, zero RNG draws and zero per-request work.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FaultSettings {
     /// The fault timeline (empty = faults off).
-    #[serde(default)]
     pub schedule: FaultSchedule,
     /// RMI timeout: how long a requester waits on a lost message or a
     /// crashed callee before the attempt counts as failed.
-    #[serde(default = "default_fault_timeout")]
     pub timeout: SimDuration,
     /// Retry/failover/stale-serve policy.
-    #[serde(default)]
     pub policy: FaultPolicy,
-}
-
-fn default_fault_timeout() -> SimDuration {
-    SimDuration::from_secs(2)
 }
 
 impl FaultSettings {
@@ -292,7 +259,7 @@ impl FaultSettings {
     pub fn off() -> Self {
         FaultSettings {
             schedule: FaultSchedule::none(),
-            timeout: default_fault_timeout(),
+            timeout: SimDuration::from_secs(2),
             policy: FaultPolicy::none(),
         }
     }
@@ -303,14 +270,8 @@ impl FaultSettings {
     }
 }
 
-impl Default for FaultSettings {
-    fn default() -> Self {
-        FaultSettings::off()
-    }
-}
-
 /// One group of clients co-located with an application server.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ClientGroup {
     /// Group name ("local", "remote1", "remote2").
     pub name: String,
@@ -325,7 +286,7 @@ pub struct ClientGroup {
 }
 
 /// A scheduled network perturbation (failure injection).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Perturbation {
     /// Offset from simulation start.
     pub at: SimDuration,
@@ -334,7 +295,7 @@ pub struct Perturbation {
 }
 
 /// Network-state changes available to perturbations.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub enum NetAction {
     /// Scale the latency of every link whose base latency is at least
     /// `threshold` (the WAN legs) by `factor`.
@@ -354,7 +315,7 @@ pub enum NetAction {
 /// 20 % buyers/bidders, split evenly across three client groups (10 req/s
 /// each), soft inter-request delays, one (simulated) hour of measurement
 /// after warm-up.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct WorkloadSpec {
     /// Client groups.
     pub groups: Vec<ClientGroup>,
@@ -374,29 +335,19 @@ pub struct WorkloadSpec {
     /// replayable read binds (see DESIGN.md §6.2). On by default; turning it
     /// off forces every request through the full binder — useful for
     /// equivalence testing and as the baseline in `--simperf` benches.
-    #[serde(default = "default_bind_cache")]
     pub bind_cache: bool,
     /// Tracing and telemetry policy (off by default; see [`TraceSettings`]).
-    #[serde(default)]
     pub trace: TraceSettings,
     /// Fault injection: schedule, RMI timeout and reaction policy (off by
     /// default; see [`FaultSettings`]).
-    #[serde(default)]
     pub faults: FaultSettings,
     /// Windowed metrics policy (off by default; see [`MetricsSettings`]).
-    #[serde(default)]
     pub metrics: MetricsSettings,
     /// Closed-loop adaptive placement (off by default; see
     /// [`AdaptiveSettings`]).
-    #[serde(default)]
     pub adaptive: AdaptiveSettings,
     /// Scheduled load surges (empty by default; see [`Surge`]).
-    #[serde(default)]
     pub surges: Vec<Surge>,
-}
-
-fn default_bind_cache() -> bool {
-    true
 }
 
 impl WorkloadSpec {
@@ -409,7 +360,7 @@ impl WorkloadSpec {
             duration: SimDuration::from_secs(3_600),
             seed: 42,
             perturbations: Vec::new(),
-            bind_cache: default_bind_cache(),
+            bind_cache: true,
             trace: TraceSettings::off(),
             faults: FaultSettings::off(),
             metrics: MetricsSettings::off(),

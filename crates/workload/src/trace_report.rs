@@ -17,6 +17,7 @@
 //!   propagation, serialization, queueing, server service and DB time, with
 //!   both logical (binder-derived) and critical-path WAN round trips.
 
+use mutsvc_desim::json::Writer;
 use mutsvc_desim::recorder::Recorder;
 use mutsvc_desim::trace::{critical_path, CompletedTrace, PathBreakdown, Span, SpanKind};
 
@@ -139,26 +140,6 @@ pub fn page_breakdown(data: &TraceData) -> Vec<PageTraceRow> {
     rows
 }
 
-fn esc(s: &str, out: &mut String) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-}
-
-fn fmt_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
-    }
-}
-
 fn node_name(data: &TraceData, id: u32) -> String {
     data.node_names
         .get(id as usize)
@@ -173,6 +154,12 @@ fn link_name(data: &TraceData, id: u32) -> String {
         .unwrap_or_else(|| format!("link{id}"))
 }
 
+fn group_name(data: &TraceData, group: u32) -> &str {
+    data.group_names
+        .get(group as usize)
+        .map_or("?", String::as_str)
+}
+
 /// Renders the compact JSONL span log: one line per span, `\n`-terminated.
 ///
 /// The request span's line carries the trace metadata (page, group, client
@@ -184,122 +171,106 @@ pub fn jsonl(data: &TraceData) -> String {
     let mut out = String::new();
     for trace in &data.traces {
         for span in &trace.spans {
-            render_span_line(data, trace, span, &mut out);
+            render_span_line(data, trace, span, &mut Writer::new(&mut out));
             out.push('\n');
         }
     }
     out
 }
 
-fn render_span_line(data: &TraceData, trace: &CompletedTrace, span: &Span, out: &mut String) {
-    out.push_str(&format!(
-        "{{\"trace\":\"{:016x}\",\"span\":{},\"parent\":{},\"kind\":\"{}\",\"start_us\":{},\"end_us\":{}",
-        trace.trace_id,
-        span.id,
-        span.parent as i64 as i32, // NO_PARENT (u32::MAX) prints as -1
-        span.kind.label(),
-        span.start.as_micros(),
-        span.end.as_micros(),
-    ));
+fn render_span_line(data: &TraceData, trace: &CompletedTrace, span: &Span, w: &mut Writer<'_>) {
+    w.begin_object();
+    w.key("trace").string(&format!("{:016x}", trace.trace_id));
+    w.key("span").int(span.id);
+    // NO_PARENT (u32::MAX) prints as -1.
+    w.key("parent").int(span.parent as i32);
+    w.key("kind").string(span.kind.label());
+    w.key("start_us").int(span.start.as_micros());
+    w.key("end_us").int(span.end.as_micros());
     match span.kind {
         SpanKind::Request => {
             let meta = &trace.meta;
-            out.push_str(&format!(
-                ",\"page\":\"{}\",\"group\":\"",
-                meta.label // page labels are static identifiers, no escaping needed
-            ));
-            esc(
-                data.group_names
-                    .get(meta.group as usize)
-                    .map_or("?", String::as_str),
-                out,
-            );
-            out.push_str(&format!(
-                "\",\"client\":\"{}\",\"entry\":\"{}\",\"measured\":{},\"wan_rts_logical\":{}",
-                node_name(data, meta.client),
-                node_name(data, meta.entry),
-                meta.measured,
-                fmt_f64(meta.wan_rts_logical),
-            ));
+            w.key("page").string(meta.label);
+            w.key("group").string(group_name(data, meta.group));
+            w.key("client").string(&node_name(data, meta.client));
+            w.key("entry").string(&node_name(data, meta.entry));
+            w.key("measured").bool(meta.measured);
+            w.key("wan_rts_logical").float(meta.wan_rts_logical);
         }
-        SpanKind::Cpu { node, service_us } => {
-            out.push_str(&format!(
-                ",\"node\":\"{}\",\"service_us\":{service_us}",
-                node_name(data, node)
-            ));
+        SpanKind::Cpu { node, .. } => {
+            w.key("node").string(&node_name(data, node));
         }
-        SpanKind::Hop {
-            link,
-            bytes,
-            propagation_us,
-            serialization_us,
-            wan,
-        } => {
-            out.push_str(&format!(
-                ",\"link\":\"{}\",\"bytes\":{bytes},\"prop_us\":{propagation_us},\"ser_us\":{serialization_us},\"wan\":{wan}",
-                link_name(data, link)
-            ));
+        SpanKind::Hop { link, .. } => {
+            w.key("link").string(&link_name(data, link));
         }
         SpanKind::Note { name, value } => {
-            out.push_str(&format!(",\"note\":\"{name}\",\"value\":{value}"));
+            w.key("note").string(name);
+            w.key("value").int(value);
         }
         SpanKind::Fault { link, node } => {
             // u32::MAX marks "not the failing element" — a fault names either
             // the downed link or the crashed node, never both.
             if link != u32::MAX {
-                out.push_str(&format!(",\"link\":\"{}\"", link_name(data, link)));
+                w.key("link").string(&link_name(data, link));
             }
             if node != u32::MAX {
-                out.push_str(&format!(",\"node\":\"{}\"", node_name(data, node)));
+                w.key("node").string(&node_name(data, node));
             }
         }
-        SpanKind::Retry { attempt, failover } => {
-            out.push_str(&format!(",\"attempt\":{attempt},\"failover\":{failover}"));
-        }
-        SpanKind::Program | SpanKind::Branch | SpanKind::Delay => {}
+        SpanKind::Program | SpanKind::Branch | SpanKind::Delay | SpanKind::Retry { .. } => {}
     }
-    out.push('}');
+    write_measures(w, span.kind);
+    w.end_object();
 }
 
-/// Renders the telemetry series as `{"names":[…],"snapshots":[…]}`: row `i`
+/// Writes the measured fields of a CPU, hop or retry span — shared by the
+/// span log and the Chrome event's `args`.
+fn write_measures(w: &mut Writer<'_>, kind: SpanKind) {
+    match kind {
+        SpanKind::Cpu { service_us, .. } => {
+            w.key("service_us").int(service_us);
+        }
+        SpanKind::Hop {
+            bytes,
+            propagation_us,
+            serialization_us,
+            wan,
+            ..
+        } => {
+            w.key("bytes").int(bytes);
+            w.key("prop_us").int(propagation_us);
+            w.key("ser_us").int(serialization_us);
+            w.key("wan").bool(wan);
+        }
+        SpanKind::Retry { attempt, failover } => {
+            w.key("attempt").int(attempt);
+            w.key("failover").bool(failover);
+        }
+        _ => {}
+    }
+}
+
+/// Writes the telemetry series as `{"names":[…],"snapshots":[…]}`: row `i`
 /// of the recorder becomes `{"at_s":(i+1)·window,"values":[…]}`, values to
-/// two decimals. A run without telemetry renders both lists empty.
-pub fn telemetry_json(data: &TraceData, out: &mut String) {
-    let Some(rec) = &data.telemetry else {
-        out.push_str("{\"names\":[],\"snapshots\":[]}");
-        return;
-    };
-    out.push_str("{\"names\":[");
-    for (ni, name) in rec.gauge_names().iter().enumerate() {
-        if ni > 0 {
-            out.push(',');
-        }
-        out.push('"');
-        esc(name, out);
-        out.push('"');
+/// two decimals. A run without telemetry writes both lists empty.
+pub fn telemetry_json(data: &TraceData, w: &mut Writer<'_>) {
+    w.begin_object().key("names").begin_array();
+    for name in data.telemetry.iter().flat_map(Recorder::gauge_names) {
+        w.string(name);
     }
-    out.push_str("],\"snapshots\":[");
-    for (ri, row) in rec.rows().iter().enumerate() {
-        if ri > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "{{\"at_s\":{:.1},\"values\":[",
-            (rec.window() * (row.index + 1)).as_secs_f64()
-        ));
-        for (vi, v) in row.gauges.iter().enumerate() {
-            if vi > 0 {
-                out.push(',');
+    w.end_array().key("snapshots").begin_array();
+    if let Some(rec) = &data.telemetry {
+        for row in rec.rows() {
+            let at = rec.window() * (row.index + 1);
+            w.begin_object().key("at_s").fixed(at.as_secs_f64(), 1);
+            w.key("values").begin_array();
+            for &v in &row.gauges {
+                w.fixed(v, 2);
             }
-            if v.is_finite() {
-                out.push_str(&format!("{v:.2}"));
-            } else {
-                out.push_str("null");
-            }
+            w.end_array().end_object();
         }
-        out.push_str("]}");
     }
-    out.push_str("]}");
+    w.end_array().end_object();
 }
 
 /// Renders Chrome `trace_event` JSON (the object form, `traceEvents` key),
@@ -311,10 +282,16 @@ pub fn telemetry_json(data: &TraceData, out: &mut String) {
 /// microseconds. At most `max_traces` traces are exported (0 = all) —
 /// span logs stay complete via [`jsonl`]; the Chrome view is for eyeballs.
 pub fn chrome_trace_json(data: &TraceData, max_traces: usize) -> String {
-    let mut out = String::from("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n");
-    out.push_str(
-        "{\"ph\":\"M\",\"pid\":1,\"name\":\"process_name\",\"args\":{\"name\":\"mutsvc-sim\"}}",
-    );
+    let mut out = String::new();
+    let mut w = Writer::new(&mut out);
+    w.begin_object().key("displayTimeUnit").string("ms");
+    w.key("traceEvents").begin_array().line_break();
+    w.begin_object().key("ph").string("M");
+    w.key("pid").int(1);
+    w.key("name").string("process_name");
+    w.key("args");
+    w.begin_object().key("name").string("mutsvc-sim");
+    w.end_object().end_object();
     let mut next_tid: u64 = 1;
     let take = if max_traces == 0 {
         data.traces.len()
@@ -329,20 +306,19 @@ pub fn chrome_trace_json(data: &TraceData, max_traces: usize) -> String {
         }
         let lane = next_tid;
         next_tid += 1;
-        out.push_str(&format!(
-            ",\n{{\"ph\":\"M\",\"pid\":1,\"tid\":{lane},\"name\":\"thread_name\",\"args\":{{\"name\":\"{} @",
-            trace.meta.label
-        ));
-        esc(
-            data.group_names
-                .get(trace.meta.group as usize)
-                .map_or("?", String::as_str),
-            &mut out,
-        );
-        out.push_str("\"}}");
-        emit_span(data, trace, &children, 0, lane, &mut next_tid, &mut out);
+        let group = group_name(data, trace.meta.group);
+        let thread = format!("{} @{group}", trace.meta.label);
+        w.line_break().begin_object().key("ph").string("M");
+        w.key("pid").int(1);
+        w.key("tid").int(lane);
+        w.key("name").string("thread_name");
+        w.key("args");
+        w.begin_object().key("name").string(&thread).end_object();
+        w.end_object();
+        emit_span(data, trace, &children, 0, lane, &mut next_tid, &mut w);
     }
-    out.push_str("\n]}\n");
+    w.line_break().end_array().end_object();
+    out.push('\n');
     out
 }
 
@@ -377,52 +353,43 @@ fn emit_span(
     span_id: u32,
     tid: u64,
     next_tid: &mut u64,
-    out: &mut String,
+    w: &mut Writer<'_>,
 ) {
     let span = &trace.spans[span_id as usize];
+    let event = |w: &mut Writer<'_>, ph: &str, ts: u64| {
+        w.line_break().begin_object().key("ph").string(ph);
+        if ph == "i" {
+            w.key("s").string("t");
+        }
+        w.key("pid").int(1);
+        w.key("tid").int(tid);
+        w.key("ts").int(ts);
+    };
     if let SpanKind::Note { name, value } = span.kind {
-        out.push_str(&format!(
-            ",\n{{\"ph\":\"i\",\"s\":\"t\",\"pid\":1,\"tid\":{tid},\"ts\":{},\"name\":\"{name}\",\"args\":{{\"value\":{value}}}}}",
-            span.start.as_micros()
-        ));
+        event(w, "i", span.start.as_micros());
+        w.key("name").string(name);
+        w.key("args");
+        w.begin_object().key("value").int(value).end_object();
+        w.end_object();
         return;
     }
     let name = span_display_name(data, trace, span);
-    out.push_str(&format!(
-        ",\n{{\"ph\":\"B\",\"pid\":1,\"tid\":{tid},\"ts\":{},\"name\":\"",
-        span.start.as_micros()
-    ));
-    esc(&name, out);
-    out.push('"');
+    event(w, "B", span.start.as_micros());
+    w.key("name").string(&name);
     match span.kind {
         SpanKind::Request => {
-            out.push_str(&format!(
-                ",\"args\":{{\"wan_rts_logical\":{}}}",
-                fmt_f64(trace.meta.wan_rts_logical)
-            ));
+            w.key("args").begin_object();
+            w.key("wan_rts_logical").float(trace.meta.wan_rts_logical);
+            w.end_object();
         }
-        SpanKind::Cpu { service_us, .. } => {
-            out.push_str(&format!(",\"args\":{{\"service_us\":{service_us}}}"));
-        }
-        SpanKind::Hop {
-            bytes,
-            propagation_us,
-            serialization_us,
-            wan,
-            ..
-        } => {
-            out.push_str(&format!(
-                ",\"args\":{{\"bytes\":{bytes},\"prop_us\":{propagation_us},\"ser_us\":{serialization_us},\"wan\":{wan}}}"
-            ));
-        }
-        SpanKind::Retry { attempt, failover } => {
-            out.push_str(&format!(
-                ",\"args\":{{\"attempt\":{attempt},\"failover\":{failover}}}"
-            ));
+        SpanKind::Cpu { .. } | SpanKind::Hop { .. } | SpanKind::Retry { .. } => {
+            w.key("args").begin_object();
+            write_measures(w, span.kind);
+            w.end_object();
         }
         _ => {}
     }
-    out.push('}');
+    w.end_object();
     for &child in &children[span_id as usize] {
         let child_span = &trace.spans[child as usize];
         let child_tid = if matches!(child_span.kind, SpanKind::Branch) {
@@ -432,14 +399,10 @@ fn emit_span(
         } else {
             tid
         };
-        emit_span(data, trace, children, child, child_tid, next_tid, out);
+        emit_span(data, trace, children, child, child_tid, next_tid, w);
     }
-    out.push_str(&format!(
-        ",\n{{\"ph\":\"E\",\"pid\":1,\"tid\":{tid},\"ts\":{},\"name\":\"",
-        span.end.as_micros()
-    ));
-    esc(&name, out);
-    out.push_str("\"}");
+    event(w, "E", span.end.as_micros());
+    w.key("name").string(&name).end_object();
 }
 
 #[cfg(test)]
@@ -541,14 +504,13 @@ mod tests {
     fn chrome_json_has_balanced_nested_be_pairs() {
         let data = sample_data();
         let json = chrome_trace_json(&data, 0);
-        // Minimal structural check without a JSON parser: equal numbers of
-        // B and E events, and per-tid nesting validated by a scan.
-        let b_count = json.matches("\"ph\":\"B\"").count();
-        let e_count = json.matches("\"ph\":\"E\"").count();
-        assert_eq!(b_count, e_count);
+        let doc = mutsvc_desim::json::parse(&json).expect("well-formed JSON");
+        let events = doc.array_at("traceEvents").unwrap();
+        let count = |ph: &str| events.iter().filter(|e| e.str_at("ph") == Ok(ph)).count();
+        assert_eq!(count("B"), count("E"));
         // request + program + cpu + hop + 2 branches + delay + branch-cpu
-        assert_eq!(b_count, 8);
-        assert!(json.contains("\"ph\":\"i\""), "fork note exported");
+        assert_eq!(count("B"), 8);
+        assert_eq!(count("i"), 1, "fork note exported");
         assert!(json.contains("wan hop edge1->router"));
         assert!(json.ends_with("]}\n"));
         // Branch arms live on their own lanes.
