@@ -3,26 +3,14 @@
 //! ```text
 //! repro-report [--app petstore|rubis|all] [--paper|--quick] [--seed N]
 //!              [--tables] [--figures] [--compare] [--validate]
-//!              [--sessions] [--topology] [--wiring] [--placement [--smoke]]
-//!              [--simperf [--smoke] [--parallel N]] [--trace [config] [--smoke]]
+//!              [--sessions] [--topology] [--wiring] [--trace [config] [--smoke]]
 //!              [--faults [--smoke]] [--metrics [config] [--smoke]]
 //!              [--adaptive [--smoke]]
 //! ```
 //!
-//! `--placement` measures placement move-evaluation throughput (full
-//! recompute vs the incremental evaluator) on the paper-derived graphs and
-//! on the multi-tier scale ladder (4/16/64/256 hosts), and writes
-//! `BENCH_placement.json` to the current directory; `--smoke` stops the
-//! ladder at the 64-host rung for CI's wall-clock-bounded gate.
-//!
-//! `--simperf` measures simulator request throughput at 1×/10×/100× the
-//! paper's arrival rate, with the bound-program cache off (the full-binder
-//! baseline) and on, and writes `BENCH_simperf.json`; `--smoke` shortens the
-//! windows and stops at 10× for CI's wall-clock-bounded regression gate.
-//! `--parallel N` caps the conservative-parallel engine's thread ladder
-//! (1/2/4/8) measured on the eight-region fan-out topology; every thread
-//! count is asserted in-process to produce an identical report digest.
-//! `--parallel 0` skips the parallel rows.
+//! Every artifact is written to the current directory; a failed write (or
+//! a failed schema check) exits 1. Wall-clock performance is not measured
+//! here: the `perfbench` package is the repository's one timing harness.
 //!
 //! `--trace [config]` re-runs the sweep (or one named configuration) with
 //! per-request tracing and the telemetry snapshots on, writes a compact span
@@ -76,13 +64,7 @@ use mutsvc_bench::metrics_artifacts::{
     metrics_jsonl, render_metrics_json, render_slo_table, run_metrics_sweep, validate_metrics_json,
     MetricsCell, OverheadSample,
 };
-use mutsvc_bench::placement_report::{
-    measure_placement_ladder, measure_placement_throughput, render_placement_json,
-};
 use mutsvc_bench::run_sweep_parallel;
-use mutsvc_bench::simperf_report::{
-    measure_simperf, parallel_scaling_at, render_simperf_json, speedup_at, thread_counts,
-};
 use mutsvc_bench::trace_artifacts::{
     config_by_name, render_trace_json, render_wan_rt_table, run_traced_sweep,
     validate_chrome_trace, TraceCell,
@@ -104,9 +86,6 @@ struct Options {
     topology: bool,
     wiring: bool,
     percentiles: bool,
-    placement: bool,
-    simperf: bool,
-    parallel: usize,
     smoke: bool,
     trace: bool,
     trace_config: Option<Config>,
@@ -143,9 +122,6 @@ fn parse_args() -> Options {
         topology: false,
         wiring: false,
         percentiles: false,
-        placement: false,
-        simperf: false,
-        parallel: 8,
         smoke: false,
         trace: false,
         trace_config: None,
@@ -182,14 +158,6 @@ fn parse_args() -> Options {
             "--topology" => opts.topology = true,
             "--wiring" => opts.wiring = true,
             "--percentiles" => opts.percentiles = true,
-            "--placement" => opts.placement = true,
-            "--simperf" => opts.simperf = true,
-            "--parallel" => {
-                opts.parallel = args.next().and_then(|s| s.parse().ok()).unwrap_or_else(|| {
-                    eprintln!("--parallel needs a thread count (0 skips the parallel rows)");
-                    std::process::exit(2);
-                });
-            }
             "--smoke" => opts.smoke = true,
             "--faults" => opts.faults = true,
             "--adaptive" => opts.adaptive = true,
@@ -221,7 +189,7 @@ fn parse_args() -> Options {
             }
             "--help" | "-h" => {
                 println!(
-                    "repro-report [--app petstore|rubis|all] [--paper|--quick] [--seed N]\n             [--tables] [--figures] [--compare] [--validate] [--percentiles]\n             [--sessions] [--topology] [--wiring] [--placement [--smoke]]\n             [--simperf [--smoke] [--parallel N]] [--trace [config] [--smoke]]\n             [--faults [--smoke]] [--metrics [config] [--smoke]]\n             [--adaptive [--smoke]]"
+                    "repro-report [--app petstore|rubis|all] [--paper|--quick] [--seed N]\n             [--tables] [--figures] [--compare] [--validate] [--percentiles]\n             [--sessions] [--topology] [--wiring] [--trace [config] [--smoke]]\n             [--faults [--smoke]] [--metrics [config] [--smoke]]\n             [--adaptive [--smoke]]"
                 );
                 std::process::exit(0);
             }
@@ -239,8 +207,6 @@ fn parse_args() -> Options {
         || opts.sessions
         || opts.topology
         || opts.wiring
-        || opts.placement
-        || opts.simperf
         || opts.trace
         || opts.faults
         || opts.metrics
@@ -326,90 +292,6 @@ fn print_wiring(app: AppKind) {
     }
 }
 
-fn print_placement_throughput(smoke: bool) {
-    // The smoke gate (CI) stops the scale ladder at the 64-host rung; the
-    // full report climbs to 256 hosts.
-    let max_hosts = if smoke { 64 } else { 256 };
-    eprintln!(
-        "measuring placement move throughput (1000-move sequences, ladder to {max_hosts} hosts)..."
-    );
-    let mut cells = measure_placement_throughput(1_000, 42);
-    cells.extend(measure_placement_ladder(1_000, 42, max_hosts));
-    println!("placement move throughput (moves/sec):");
-    for cell in &cells {
-        println!(
-            "  {:<12} {:<16} {:>4} hosts {:>12.0} moves/s  build {:>8.3} ms  table {:>12} B  final cost {:>10.1} ms/s",
-            cell.graph,
-            cell.algorithm,
-            cell.hosts,
-            cell.moves_per_sec,
-            cell.build_ms,
-            cell.table_bytes,
-            cell.final_cost
-        );
-    }
-    let json = render_placement_json(&cells);
-    let path = "BENCH_placement.json";
-    match std::fs::write(path, &json) {
-        Ok(()) => println!("wrote {path}"),
-        Err(e) => eprintln!("failed to write {path}: {e}"),
-    }
-}
-
-fn print_simperf(smoke: bool, seed: u64, parallel: usize) {
-    let cores = std::thread::available_parallelism().map_or(1, usize::from);
-    eprintln!(
-        "measuring simulator hot-path throughput ({} mode, seed {seed}, \
-         {cores} core(s), parallel cap {parallel})...",
-        if smoke { "smoke" } else { "full" }
-    );
-    let cells = measure_simperf(smoke, seed, parallel);
-    println!("simulator request throughput (requests/sec wall-clock):");
-    for cell in &cells {
-        let engine = if cell.threads == 0 {
-            "seq   ".to_string()
-        } else {
-            format!(
-                "par/{}t{}",
-                cell.threads,
-                if cell.threads < 10 { " " } else { "" }
-            )
-        };
-        println!(
-            "  {:<9} {:>4}x load  {engine}  cache {:<3}  {:>9.0} req/s  \
-             {:>11.0} events/s  hit rate {:>5.1}%",
-            cell.app,
-            cell.load_factor,
-            if cell.bind_cache { "on" } else { "off" },
-            cell.requests_per_sec,
-            cell.events_per_sec,
-            cell.hit_rate * 100.0
-        );
-    }
-    let top = if smoke { 10 } else { 100 };
-    for app in ["petstore", "rubis"] {
-        println!(
-            "  {app}: {:.1}x requests/s with the bound-program cache at {top}x load",
-            speedup_at(&cells, app, top)
-        );
-        for t in thread_counts(parallel) {
-            if t > 1 {
-                println!(
-                    "  {app}: {:.2}x requests/s at {t} threads vs 1 \
-                     (8-region fan-out, {cores} core(s) available)",
-                    parallel_scaling_at(&cells, app, t)
-                );
-            }
-        }
-    }
-    let json = render_simperf_json(&cells, cores);
-    let path = "BENCH_simperf.json";
-    match std::fs::write(path, &json) {
-        Ok(()) => println!("wrote {path}"),
-        Err(e) => eprintln!("failed to write {path}: {e}"),
-    }
-}
-
 /// How many traces the Chrome export keeps per configuration — enough to
 /// inspect one of each page in Perfetto without a multi-megabyte document.
 const CHROME_TRACE_CAP: usize = 25;
@@ -450,11 +332,7 @@ fn print_trace(opts: &Options) {
         sweeps.push((app, cells));
     }
     let json = render_trace_json(&sweeps);
-    let path = "BENCH_trace.json";
-    match std::fs::write(path, &json) {
-        Ok(()) => println!("wrote {path}"),
-        Err(e) => eprintln!("failed to write {path}: {e}"),
-    }
+    write_artifact("BENCH_trace.json", &json, Ok(String::new()));
     let w108: usize = sweeps
         .iter()
         .flat_map(|(_, cells)| cells.iter().map(|c| c.w108))
@@ -594,27 +472,22 @@ fn print_adaptive(opts: &Options) {
 }
 
 /// Writes an artifact to `path` once its check passed: `note` is the log
-/// suffix, or the check's error — then nothing is written and the run exits
-/// nonzero.
+/// suffix, or the check's error — then nothing is written. A failed check
+/// or a failed write exits 1.
 fn write_artifact(path: &str, contents: &str, note: Result<String, String>) {
     let note = note.unwrap_or_else(|e| {
         eprintln!("invalid {path}: {e}");
         std::process::exit(1);
     });
-    match std::fs::write(path, contents) {
-        Ok(()) => println!("wrote {path}{note}"),
-        Err(e) => eprintln!("failed to write {path}: {e}"),
+    if let Err(e) = std::fs::write(path, contents) {
+        eprintln!("failed to write {path}: {e}");
+        std::process::exit(1);
     }
+    println!("wrote {path}{note}");
 }
 
 fn main() {
     let opts = parse_args();
-    if opts.placement {
-        print_placement_throughput(opts.smoke);
-    }
-    if opts.simperf {
-        print_simperf(opts.smoke, opts.seed, opts.parallel);
-    }
     if opts.trace {
         print_trace(&opts);
     }

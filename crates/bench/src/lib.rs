@@ -1,9 +1,10 @@
-//! # mutsvc-bench — benchmark harness support
+//! # mutsvc-bench — paper reproduction support
 //!
-//! Shared helpers for the report binary and the Criterion benches: parallel
-//! sweep execution across scenario cells, the placement move-throughput
-//! measurement behind `BENCH_placement.json`, and the simulator hot-path
-//! throughput measurement behind `BENCH_simperf.json`.
+//! Shared helpers for the `repro-report` binary: parallel sweep execution
+//! across scenario cells, and the fault, trace, metrics and adaptation
+//! suites behind `BENCH_faults.json`, `BENCH_trace.json`,
+//! `BENCH_metrics.json` and `BENCH_adaptive.json`. Wall-clock performance
+//! is measured by the separate `perfbench` package, not here.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -11,8 +12,6 @@
 pub mod adaptive_artifacts;
 pub mod fault_artifacts;
 pub mod metrics_artifacts;
-pub mod placement_report;
-pub mod simperf_report;
 pub mod trace_artifacts;
 
 use mutsvc_core::{AppKind, Config, Scenario};

@@ -6,17 +6,17 @@
 //! never on scheduling. These tests pin the contract at the artifact level —
 //! the rendered `BENCH_faults.json` for the three standard fault episodes
 //! and the traced span JSONL must be byte-identical at 1, 2, 4 and 8
-//! threads.
+//! threads, and so must every merged counter of the eight-region fan-out
+//! at 10× load.
 
 use mutsvc_bench::adaptive_artifacts::{
     suite_cadence, suite_windows, write_adaptive_cell, AdaptiveCell,
 };
 use mutsvc_bench::fault_artifacts::{fault_scenario, render_faults_json, validate_faults_json};
 use mutsvc_bench::metrics_artifacts::{default_slo, metrics_jsonl};
-use mutsvc_bench::simperf_report::thread_counts;
 use mutsvc_core::{
-    adaptive_episode_input, multi_tier_input, AdaptiveEpisode, AppKind, Config, FaultCase,
-    MultiTierSpec,
+    adaptive_episode_input, fanout_input, multi_tier_input, AdaptiveEpisode, AppKind, Config,
+    FaultCase, MultiTierSpec,
 };
 use mutsvc_desim::json;
 use mutsvc_desim::time::SimDuration;
@@ -308,10 +308,49 @@ fn adaptive_migration_schedule_is_byte_identical_at_every_thread_count() {
     );
 }
 
+/// The eight-region fan-out (the local cluster plus seven WAN edges) at
+/// 10× the paper's load, with the modelled hardware scaled to match, at one
+/// thread count: a fingerprint of everything the run simulated — the
+/// merged statistics (every Welford accumulator and histogram bucket), the
+/// per-shard event counts, the plan-cache counters and the staleness
+/// distribution. Wall-clock time is excluded.
+fn fanout_digest_at(app: AppKind, threads: usize, seed: u64) -> String {
+    let mut input = fanout_input(app, Config::AsyncUpdates, 7, seed);
+    input.topology.scale_capacity(10.0);
+    input.spec = input
+        .spec
+        .scale_rates(10.0)
+        .with_duration(SimDuration::from_secs(10), SimDuration::from_secs(30));
+    let report = run_experiment_parallel(input, threads);
+    assert_eq!(report.shard_events.len(), 8, "one shard per client region");
+    format!(
+        "{} {} {:?} {:?} {:?} {:?}",
+        report.completed,
+        report.events_fired,
+        report.shard_events,
+        report.bind_cache,
+        report.stats,
+        report.staleness_ms,
+    )
+}
+
 #[test]
-fn thread_ladder_spans_the_suite() {
-    // The suite's thread counts are exactly the bench ladder at its full
-    // cap, so CI's `--parallel`-capped bench and this suite agree on what
-    // "every thread count" means.
-    assert_eq!(thread_counts(8), THREADS.to_vec());
+fn fanout_at_ten_times_load_is_identical_at_every_thread_count() {
+    for app in AppKind::all() {
+        let baseline = fanout_digest_at(app, THREADS[0], 42);
+        for &threads in &THREADS[1..] {
+            assert_eq!(
+                baseline,
+                fanout_digest_at(app, threads, 42),
+                "{}: {threads}-thread fan-out diverged from the 1-thread run",
+                app.name()
+            );
+        }
+        assert_ne!(
+            baseline,
+            fanout_digest_at(app, 1, 43),
+            "{}: different seeds must differ",
+            app.name()
+        );
+    }
 }

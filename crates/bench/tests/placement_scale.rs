@@ -19,16 +19,16 @@
 //!   rung in one process return the identical placement.
 
 use mutsvc_analyze::PathModel;
-use mutsvc_bench::placement_report::{ladder_problem, move_sequence};
 use mutsvc_core::{multi_tier_topology, MultiTierSpec};
 use mutsvc_desim::rng::SimRng;
 use mutsvc_placement::algorithms::{
     greedy_solve, host_regions, multilevel_solve, solve_regional, GreedyOptions, MultilevelOptions,
     RegionalOptions,
 };
-use mutsvc_placement::graph::{HostId, Placement};
+use mutsvc_placement::derive::rubis_problem;
+use mutsvc_placement::graph::{HostId, Placement, PlacementProblem};
 use mutsvc_placement::wan::{hosts_from_topology, rehost, ServerSpec};
-use mutsvc_placement::{cost_breakdown, shared_distances, CostEvaluator};
+use mutsvc_placement::{cost_breakdown, shared_distances, CostEvaluator, Move, NodeIndex};
 
 /// A randomized multi-tier shape: 1–5 hubs, 1–5 PoPs per hub, metro or WAN
 /// edge tier, database co-located or split out.
@@ -59,6 +59,42 @@ fn server_specs(nodes: &mutsvc_core::MultiTierNodes) -> Vec<ServerSpec> {
             cpu_capacity: f64::INFINITY,
         })
         .collect()
+}
+
+/// The RUBiS graph re-targeted onto the multi-tier ladder rung with `hosts`
+/// application servers ([`MultiTierSpec::ladder_rung`]): every host pair is
+/// priced along the topology's latency-shortest route.
+fn ladder_problem(hosts: usize) -> PlacementProblem {
+    let (topology, nodes) = multi_tier_topology(&MultiTierSpec::ladder_rung(hosts));
+    let (host_list, rtt_ms) = hosts_from_topology(&topology, &server_specs(&nodes));
+    rehost(&rubis_problem().0, host_list, rtt_ms)
+}
+
+/// A deterministic sequence of `count` valid moves for `problem`, starting
+/// from the all-on-host-0 placement. Validity (no duplicate replicas, no
+/// replica at the primary) is tracked through an evaluator.
+fn move_sequence(problem: &PlacementProblem, count: usize, seed: u64) -> Vec<Move> {
+    let mut rng = SimRng::seed_from_u64(seed);
+    let mut eval = CostEvaluator::new(problem, Placement::all_on(problem, HostId(0)));
+    let components = problem.graph.len();
+    let hosts = problem.hosts.len();
+    let mut moves = Vec::with_capacity(count);
+    while moves.len() < count {
+        let node = NodeIndex::new(rng.index(components));
+        let host = HostId(rng.index(hosts));
+        let mv = match rng.index(3) {
+            0 => Move::MovePrimary { node, to: host },
+            1 if eval.primary_of(node) != host && !eval.has_replica(node, host) => {
+                Move::AddReplica { node, host }
+            }
+            2 if eval.has_replica(node, host) => Move::DropReplica { node, host },
+            _ => continue,
+        };
+        eval.apply(mv);
+        eval.commit();
+        moves.push(mv);
+    }
+    moves
 }
 
 /// Independent all-pairs one-way latencies (milliseconds) by Floyd–Warshall
@@ -129,8 +165,7 @@ fn apsp_pricing_matches_analyze_path_model() {
 
         // The evaluator's shared distance matrix is the same pricing,
         // flattened once per topology.
-        let (rubis, _) = mutsvc_placement::derive::rubis_problem();
-        let problem = rehost(&rubis, hosts, rtt_ms.clone());
+        let problem = rehost(&rubis_problem().0, hosts, rtt_ms.clone());
         let dist = shared_distances(&problem);
         for a in 0..h {
             for b in 0..h {

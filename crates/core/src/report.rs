@@ -269,7 +269,7 @@ fn cell(report: &ExperimentReport, remote: bool, pattern: &str, page: &str) -> f
 
 /// Validates the qualitative shape criteria of `DESIGN.md` §5 against a
 /// five-configuration sweep. Returns human-readable violations (empty =
-/// every criterion holds).
+/// all criteria hold).
 pub fn validate_shapes(app: AppKind, reports: &[ExperimentReport]) -> Vec<String> {
     assert_eq!(reports.len(), 5, "expected one report per configuration");
     let mut violations = Vec::new();

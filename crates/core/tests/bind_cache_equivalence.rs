@@ -3,7 +3,8 @@
 //! a run with the cache enabled must produce a **bit-identical**
 //! `ExperimentReport` — response-time statistics, binder totals, staleness
 //! histograms, CPU utilization, completion and event counts — to a run with
-//! every request going through the full binder.
+//! every request going through the full binder. Under the full §4.5
+//! configuration the cache must also serve more than a quarter of requests.
 //!
 //! Debug builds use a shortened window; CI re-runs this in release with the
 //! full quick window (see .github/workflows/ci.yml).
@@ -42,6 +43,18 @@ fn cache_on_and_off_reports_are_bit_identical() {
                 on.bind_cache
             );
             assert_eq!(off.bind_cache.hits, 0, "{cell}");
+            if config == Config::AsyncUpdates {
+                // Write pages and pages crossing nodes are never
+                // memoizable, so 100% is unreachable by design; well under
+                // half means the fast path has stopped engaging.
+                let stats = on.bind_cache;
+                let hit_rate = stats.hits as f64 / (stats.hits + stats.misses) as f64;
+                assert!(
+                    hit_rate > 0.25,
+                    "{cell}: bind cache barely hitting ({:.0}%)",
+                    hit_rate * 100.0
+                );
+            }
 
             assert_eq!(on.config, off.config, "{cell}");
             assert_eq!(on.stats, off.stats, "{cell}: stats diverged");

@@ -417,13 +417,6 @@ impl CostEvaluator {
             * std::mem::size_of::<f64>()
     }
 
-    /// Bytes the former dense layout (a host×host table per edge plus a
-    /// host×host push matrix) would occupy — the denominator of the memory
-    /// reduction reported by the scaling bench.
-    pub fn dense_table_bytes(&self) -> usize {
-        (self.edge_w_rtt.len() + 1) * self.hosts * self.hosts * std::mem::size_of::<f64>()
-    }
-
     /// Recomputes the live state from scratch (used at construction).
     fn rebuild_totals(&mut self) {
         let mut communication = 0.0;
@@ -1240,7 +1233,6 @@ mod tests {
         // Table memory is hosts² + 2·hosts + 2 scalars per edge, not
         // edges × hosts².
         assert_eq!(a.table_bytes(), (4 + 2 * 2 + 3 * 2) * 8);
-        assert!(a.dense_table_bytes() > a.table_bytes());
     }
 
     #[test]

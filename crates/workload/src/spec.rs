@@ -8,7 +8,7 @@ use mutsvc_netsim::NodeId;
 /// Tracing and telemetry policy for one run. Fully disabled by default:
 /// the driver then never allocates a tracer buffer, never schedules the
 /// telemetry cadence event, and each instrumentation site costs a single
-/// branch (verified by the `--simperf` hot-path bench).
+/// branch.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TraceSettings {
     /// Master switch for span collection.
@@ -333,8 +333,8 @@ pub struct WorkloadSpec {
     pub perturbations: Vec<Perturbation>,
     /// Whether the driver may reuse memoized bound-page programs for
     /// replayable read binds (see DESIGN.md §6.2). On by default; turning it
-    /// off forces every request through the full binder — useful for
-    /// equivalence testing and as the baseline in `--simperf` benches.
+    /// off forces every request through the full binder — the reference
+    /// path of the `bind_cache_equivalence` test.
     pub bind_cache: bool,
     /// Tracing and telemetry policy (off by default; see [`TraceSettings`]).
     pub trace: TraceSettings,
@@ -396,12 +396,6 @@ impl WorkloadSpec {
     /// Schedules a load surge.
     pub fn with_surge(mut self, surge: Surge) -> Self {
         self.surges.push(surge);
-        self
-    }
-
-    /// Enables or disables the bound-program cache.
-    pub fn with_bind_cache(mut self, enabled: bool) -> Self {
-        self.bind_cache = enabled;
         self
     }
 
