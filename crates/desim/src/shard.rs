@@ -388,10 +388,14 @@ mod tests {
     const LOOKAHEAD: SimDuration = SimDuration::from_millis(100);
     const HORIZON: SimTime = SimTime::from_secs(10);
 
+    /// One log entry: `(µs, logging shard, ttl)`; a marker logs
+    /// `usize::MAX` and its directive.
+    type LogEntry = (u64, usize, u64);
+
     struct RingState {
         idx: usize,
         n: usize,
-        log: Vec<(u64, usize, u64)>,
+        log: Vec<LogEntry>,
         outgoing: Vec<(usize, SimTime, u64)>,
     }
 
@@ -446,7 +450,7 @@ mod tests {
 
     impl ShardWorld for RingShard {
         type Msg = u64;
-        type Out = (Vec<(u64, usize, u64)>, u64);
+        type Out = (Vec<LogEntry>, u64);
 
         fn deliver(&mut self, at: SimTime, _from: usize, ttl: u64) {
             self.sim.schedule_event_at(at, RingEv::Forward { ttl });
@@ -470,7 +474,7 @@ mod tests {
         }
     }
 
-    fn run_ring(shards: usize, threads: usize) -> Vec<(Vec<(u64, usize, u64)>, u64)> {
+    fn run_ring(shards: usize, threads: usize) -> Vec<(Vec<LogEntry>, u64)> {
         run_conservative(shards, threads, LOOKAHEAD, HORIZON, |i| {
             RingShard::new(i, shards)
         })
@@ -582,7 +586,7 @@ mod tests {
             let total: usize = obs.iter().map(|(_, n)| n).sum();
             self.rounds.push((wend.as_micros(), total));
             // Act on every other round so both branches are exercised.
-            (self.rounds.len() % 2 == 0).then_some(total as u64)
+            self.rounds.len().is_multiple_of(2).then_some(total as u64)
         }
 
         fn apply(&mut self, _: usize, shard: &mut RingShard, wend: SimTime, &d: &u64) {

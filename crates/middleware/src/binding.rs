@@ -669,14 +669,14 @@ impl<'a> Binder<'a> {
                 }
             }
         }
-        // Only queries on the written table can be affected; the by-table
-        // index avoids cloning every cached query at the node per write.
+        // The keyed store yields only the entries this write can reach;
+        // `affects` decides which of them it changes.
         let state = &self.state;
         let pending = &mut self.pending_queries;
         for &node in &self.descriptor.query_cache.nodes {
-            for query in state.cached_queries_on(node, effect.table) {
-                if affects(&effect, query) {
-                    pending.push((node, query.clone()));
+            for query in state.queries_reached_by(node, &effect) {
+                if affects(&effect, &query) {
+                    pending.push((node, query));
                 }
             }
         }

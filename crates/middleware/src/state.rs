@@ -10,7 +10,7 @@
 use std::collections::{HashMap, HashSet};
 
 use mutsvc_netsim::NodeId;
-use mutsvc_relstore::{Query, RowId, TableId};
+use mutsvc_relstore::{MutationEffect, Query, RowId, TableId, Value};
 
 use crate::component::ComponentId;
 
@@ -25,15 +25,97 @@ pub enum RowCacheState {
     Invalid,
 }
 
+/// The queries cached at one node on one table, each stored under the key a
+/// write reaches it by, with its validity flag. Invalidated entries stay
+/// stored: later writes still reach them and propagate to their node.
+#[derive(Debug, Clone, Default)]
+struct TableQueries {
+    /// `ByPk` queries by row id.
+    by_pk: HashMap<RowId, bool>,
+    /// `Eq` queries by column, then matched value.
+    eq: HashMap<usize, HashMap<Value, bool>>,
+    /// `Like` and `All` queries: every write to the table reaches them.
+    scans: HashMap<Query, bool>,
+}
+
+impl TableQueries {
+    fn get(&self, query: &Query) -> Option<bool> {
+        match query {
+            Query::ByPk { id, .. } => self.by_pk.get(id),
+            Query::Eq { column, value, .. } => self.eq.get(column).and_then(|m| m.get(value)),
+            Query::Like { .. } | Query::All { .. } => self.scans.get(query),
+        }
+        .copied()
+    }
+
+    fn get_mut(&mut self, query: &Query) -> Option<&mut bool> {
+        match query {
+            Query::ByPk { id, .. } => self.by_pk.get_mut(id),
+            Query::Eq { column, value, .. } => {
+                self.eq.get_mut(column).and_then(|m| m.get_mut(value))
+            }
+            Query::Like { .. } | Query::All { .. } => self.scans.get_mut(query),
+        }
+    }
+
+    /// Stores `query` as valid.
+    fn insert(&mut self, query: Query) {
+        match query {
+            Query::ByPk { id, .. } => {
+                self.by_pk.insert(id, true);
+            }
+            Query::Eq { column, value, .. } => {
+                self.eq.entry(column).or_default().insert(value, true);
+            }
+            Query::Like { .. } | Query::All { .. } => {
+                self.scans.insert(query, true);
+            }
+        }
+    }
+
+    /// The stored queries that `effect`, an applied write to this table, can
+    /// reach: its row's `ByPk` entry; for each `Eq` column the entry for the
+    /// row's new value and, on an update of that column, for its old value;
+    /// every `Eq` entry on a delete, whose old row is gone; every scan entry.
+    fn reached_by<'a>(&'a self, effect: &'a MutationEffect) -> impl Iterator<Item = Query> + 'a {
+        let table = effect.table;
+        let row = self.by_pk.contains_key(&effect.row).then_some(Query::ByPk {
+            table,
+            id: effect.row,
+        });
+        let eq = self.eq.iter().flat_map(move |(&column, by_value)| {
+            let now = effect.after.as_ref().and_then(|r| r.get(column));
+            let before = effect
+                .changed
+                .as_ref()
+                .filter(|(c, old)| *c == column && Some(old) != now)
+                .map(|(_, old)| old);
+            let keyed = [now, before]
+                .into_iter()
+                .flatten()
+                .filter_map(|v| by_value.get_key_value(v).map(|(k, _)| k));
+            let deleted = effect.after.is_none().then(|| by_value.keys());
+            keyed
+                .chain(deleted.into_iter().flatten())
+                .map(move |value| Query::Eq {
+                    table,
+                    column,
+                    value: value.clone(),
+                })
+        });
+        row.into_iter().chain(eq).chain(self.scans.keys().cloned())
+    }
+}
+
 /// Mutable runtime state of every container in the deployment.
 #[derive(Debug, Clone, Default)]
 pub struct ContainerState {
     /// Read-only entity replica caches: (entity, node) → row → valid?
     entity_rows: HashMap<(ComponentId, NodeId), HashMap<RowId, bool>>,
-    /// Query caches keyed by `(node, table)` → query → valid?, so write
-    /// invalidation scans only the written table's queries instead of every
-    /// result cached at the node (the dominant per-write cost at high load).
-    query_results: HashMap<(NodeId, TableId), HashMap<Query, bool>>,
+    /// Query caches, one keyed store per `(node, table)`: a write looks up
+    /// the entries it can reach instead of scanning the table's cached
+    /// queries (see [`ContainerState::queries_reached_by`]).
+    query_results: HashMap<(NodeId, TableId), TableQueries>,
     /// Resolved stubs: (node, component).
     stubs: HashSet<(NodeId, ComponentId)>,
     /// Monotonic version counter per entity row, for staleness audits.
@@ -129,7 +211,6 @@ impl ContainerState {
         self.query_results
             .get(&(node, query.table()))
             .and_then(|m| m.get(query))
-            .copied()
             .unwrap_or(false)
     }
 
@@ -138,43 +219,37 @@ impl ContainerState {
         self.query_results
             .entry((node, query.table()))
             .or_default()
-            .insert(query, true);
+            .insert(query);
     }
 
     /// Invalidates a cached query at `node` if present; returns whether it
     /// was cached.
     pub fn invalidate_query(&mut self, node: NodeId, query: &Query) -> bool {
-        if let Some(m) = self.query_results.get_mut(&(node, query.table())) {
-            if let Some(valid) = m.get_mut(query) {
-                *valid = false;
-                return true;
-            }
+        if let Some(valid) = self
+            .query_results
+            .get_mut(&(node, query.table()))
+            .and_then(|m| m.get_mut(query))
+        {
+            *valid = false;
+            return true;
         }
         false
     }
 
-    /// All queries currently stored (valid or not) at `node`, any table.
-    pub fn cached_queries(&self, node: NodeId) -> Vec<Query> {
-        self.query_results
-            .iter()
-            .filter(|((n, _), _)| *n == node)
-            .flat_map(|(_, m)| m.keys().cloned())
-            .collect()
-    }
-
-    /// Queries stored (valid or not) at `node` that read `table` — the only
-    /// ones a write to `table` can invalidate. Borrowed iteration: the write
-    /// path filters with [`mutsvc_relstore::affects`] without cloning the
-    /// node's whole cache.
-    pub fn cached_queries_on(
-        &self,
+    /// Queries stored (valid or not) at `node` that `effect` can reach — a
+    /// superset of those [`mutsvc_relstore::affects`] accepts, found by key
+    /// lookups, so a write costs its candidates rather than the table's
+    /// cached entries. An unapplied write reaches nothing.
+    pub fn queries_reached_by<'a>(
+        &'a self,
         node: NodeId,
-        table: TableId,
-    ) -> impl Iterator<Item = &Query> + '_ {
+        effect: &'a MutationEffect,
+    ) -> impl Iterator<Item = Query> + 'a {
         self.query_results
-            .get(&(node, table))
+            .get(&(node, effect.table))
+            .filter(|_| effect.applied)
             .into_iter()
-            .flat_map(|m| m.keys())
+            .flat_map(|m| m.reached_by(effect))
     }
 
     // ---- stub caches --------------------------------------------------------
@@ -267,26 +342,93 @@ mod tests {
         assert_eq!(s.version(e, row), 2);
     }
 
+    /// Every query shape goes through the same cache → invalidate → re-cache
+    /// lifecycle, and an invalidated entry stays stored (a second
+    /// invalidation still finds it) without touching its neighbours.
     #[test]
     fn query_cache_lifecycle() {
         let (_, _, edge) = ids();
         let mut dbb = mutsvc_relstore::DatabaseBuilder::new();
-        let t = dbb.table("t", &["a"], 10);
-        let q = Query::All { table: t };
+        let t = dbb.table("t", &["a", "*b"], 10);
+        let shapes = [
+            Query::ByPk {
+                table: t,
+                id: RowId(1),
+            },
+            Query::Eq {
+                table: t,
+                column: 1,
+                value: Value::Int(4),
+            },
+            Query::Eq {
+                table: t,
+                column: 0,
+                value: "x".into(),
+            },
+            Query::Like {
+                table: t,
+                column: 0,
+                needle: "x".into(),
+            },
+            Query::All { table: t },
+        ];
         let mut s = ContainerState::new();
-        assert!(!s.query_cached(edge, &q));
-        s.cache_query(edge, q.clone());
-        assert!(s.query_cached(edge, &q));
-        assert!(s.invalidate_query(edge, &q));
-        assert!(!s.query_cached(edge, &q));
-        assert!(!s.invalidate_query(
+        for q in &shapes {
+            assert!(!s.query_cached(edge, q));
+            assert!(
+                !s.invalidate_query(edge, q),
+                "absent: nothing to invalidate"
+            );
+        }
+        for q in &shapes {
+            s.cache_query(edge, q.clone());
+        }
+        for (i, q) in shapes.iter().enumerate() {
+            assert!(s.query_cached(edge, q));
+            assert!(s.invalidate_query(edge, q));
+            assert!(!s.query_cached(edge, q));
+            assert!(
+                s.invalidate_query(edge, q),
+                "an invalidated entry stays stored"
+            );
+            for other in &shapes[i + 1..] {
+                assert!(s.query_cached(edge, other), "{other:?} untouched by {q:?}");
+            }
+            s.cache_query(edge, q.clone());
+            assert!(s.query_cached(edge, q));
+        }
+        // Same key, different shape or value: never confused.
+        assert!(!s.query_cached(
             edge,
             &Query::ByPk {
                 table: t,
-                id: RowId(1)
+                id: RowId(2)
             }
         ));
-        assert_eq!(s.cached_queries(edge).len(), 1);
+        assert!(!s.query_cached(
+            edge,
+            &Query::Eq {
+                table: t,
+                column: 1,
+                value: Value::Int(1)
+            }
+        ));
+        assert!(!s.query_cached(
+            edge,
+            &Query::Eq {
+                table: t,
+                column: 0,
+                value: Value::Int(4)
+            }
+        ));
+        assert!(!s.query_cached(
+            edge,
+            &Query::Like {
+                table: t,
+                column: 0,
+                needle: "y".into()
+            }
+        ));
     }
 
     #[test]
@@ -327,13 +469,29 @@ mod tests {
         s.bump_version(e, row);
         s.load_entity_row(e, edge, row);
         s.load_entity_row(e, main, row);
-        s.cache_query(edge, q.clone());
+        let pk = Query::ByPk { table: t, id: row };
+        let eq = Query::Eq {
+            table: t,
+            column: 0,
+            value: Value::Int(1),
+        };
+        for n in [edge, main] {
+            for query in [&q, &pk, &eq] {
+                s.cache_query(n, query.clone());
+            }
+        }
         s.cache_stub(edge, e);
         assert_eq!(s.staleness(e, edge, row), 0);
 
         s.evict_node(edge);
         assert_eq!(s.entity_row(e, edge, row), RowCacheState::Absent);
-        assert!(!s.query_cached(edge, &q));
+        for query in [&q, &pk, &eq] {
+            assert!(!s.query_cached(edge, query));
+            assert!(
+                s.query_cached(main, query),
+                "other nodes keep their queries"
+            );
+        }
         assert!(!s.stub_cached(edge, e));
         // The restarted container is detectably behind the authority…
         assert_eq!(s.staleness(e, edge, row), 1);

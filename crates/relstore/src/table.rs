@@ -175,14 +175,13 @@ impl Table {
     /// Row ids whose string `column` contains `needle` (case-insensitive) —
     /// the keyword-search query shape. Always a scan.
     pub fn find_like(&self, column: usize, needle: &str) -> Vec<RowId> {
-        let needle = needle.to_ascii_lowercase();
         let mut ids: Vec<RowId> = self
             .rows
             .iter()
             .filter(|(_, r)| {
                 r[column]
                     .as_str()
-                    .is_some_and(|s| s.to_ascii_lowercase().contains(&needle))
+                    .is_some_and(|s| contains_ignore_ascii_case(s, needle))
             })
             .map(|(&id, _)| id)
             .collect();
@@ -196,6 +195,19 @@ impl Table {
         ids.sort_unstable();
         ids
     }
+}
+
+/// Whether `haystack` contains `needle`, ASCII case-insensitively: the same
+/// answer as lowercasing both and calling `contains`, without allocating.
+/// Byte windows suffice: a valid UTF-8 needle only matches at char
+/// boundaries, and ASCII case folding leaves every other byte alone.
+fn contains_ignore_ascii_case(haystack: &str, needle: &str) -> bool {
+    let needle = needle.as_bytes();
+    needle.is_empty()
+        || haystack
+            .as_bytes()
+            .windows(needle.len())
+            .any(|w| w.eq_ignore_ascii_case(needle))
 }
 
 #[cfg(test)]
@@ -268,6 +280,47 @@ mod tests {
         let name = t.column("name").unwrap();
         assert_eq!(t.find_like(name, "A"), vec![RowId(1), RowId(3)]);
         assert_eq!(t.find_like(name, "zzz"), Vec::<RowId>::new());
+    }
+
+    /// The in-place match agrees with lowercasing both sides and calling
+    /// `contains` on every pair drawn from mixed-case, empty, longer-than-
+    /// value and non-ASCII strings.
+    #[test]
+    fn like_match_agrees_with_lowercase_contains() {
+        let strings = [
+            "",
+            "a",
+            "A",
+            "aB",
+            "Koi Carp",
+            "kOI",
+            "carp",
+            "CARP!",
+            "koi carp fish",
+            "é",
+            "É",
+            "café",
+            "CAFÉ",
+            "Straße",
+            "STRASSE",
+            "ß",
+            "日本語",
+            "本",
+            "x\u{301}",
+            "\u{301}",
+        ];
+        for hay in strings {
+            for needle in strings {
+                let reference = hay
+                    .to_ascii_lowercase()
+                    .contains(&needle.to_ascii_lowercase());
+                assert_eq!(
+                    contains_ignore_ascii_case(hay, needle),
+                    reference,
+                    "{hay:?} LIKE %{needle:?}%"
+                );
+            }
+        }
     }
 
     #[test]
